@@ -52,9 +52,7 @@ void Run() {
         std::printf(" %9s", "err");
         continue;
       }
-      int joins = plan.value()->CountOperators("HashJoin") +
-                  plan.value()->CountOperators("NestedLoopJoin");
-      std::printf(" %9d", joins);
+      std::printf(" %9d", plan.value()->CountJoins());
     }
     std::printf("\n");
   }

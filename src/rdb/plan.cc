@@ -67,21 +67,18 @@ void ExplainRec(const PlanNode& n, int depth, bool analyze, std::string* out) {
   if (analyze) {
     const OperatorStats& s = n.stats();
     char buf[160];
-    if (n.analyze_enabled()) {
-      std::snprintf(buf, sizeof(buf),
-                    "  (actual rows=%lld batches=%lld calls=%lld time=%.3fms)",
-                    static_cast<long long>(s.rows),
-                    static_cast<long long>(s.batches),
-                    static_cast<long long>(s.next_calls),
-                    static_cast<double>(s.open_ns + s.next_ns) / 1e6);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "  (actual rows=%lld batches=%lld calls=%lld)",
-                    static_cast<long long>(s.rows),
-                    static_cast<long long>(s.batches),
-                    static_cast<long long>(s.next_calls));
-    }
+    std::snprintf(buf, sizeof(buf), "  (actual rows=%lld batches=%lld calls=%lld",
+                  static_cast<long long>(s.rows),
+                  static_cast<long long>(s.batches),
+                  static_cast<long long>(s.next_calls));
     out->append(buf);
+    out->append(n.AnalyzeDetail());
+    if (n.analyze_enabled()) {
+      std::snprintf(buf, sizeof(buf), " time=%.3fms",
+                    static_cast<double>(s.open_ns + s.next_ns) / 1e6);
+      out->append(buf);
+    }
+    out->append(")");
   }
   out->append("\n");
   for (const PlanNode* c : n.Children()) ExplainRec(*c, depth + 1, analyze, out);
@@ -188,6 +185,16 @@ int PlanNode::CountOperators(const std::string& prefix) const {
   return n;
 }
 
+int PlanNode::CountJoins() const {
+  return CountOperators("HashJoin") + CountOperators("NestedLoopJoin") +
+         CountOperators("IndexNestedLoopJoin");
+}
+
+int PlanNode::CountTableAccesses() const {
+  return CountOperators("SeqScan") + CountOperators("ParallelSeqScan") +
+         CountOperators("IndexScan") + CountOperators("IndexNestedLoopJoin");
+}
+
 Result<std::vector<Row>> ExecutePlan(PlanNode* plan) {
   RETURN_IF_ERROR(plan->Open());
   std::vector<Row> out;
@@ -233,9 +240,8 @@ void FlushPlanMetrics(const PlanNode& plan) {
     reg.Add("op." + op + ".time_ns", s.open_ns + s.next_ns);
     reg.RecordLatency("op." + op + ".time_us", (s.open_ns + s.next_ns) / 1000);
   }
-  if (op == "SeqScan" || op == "IndexScan") {
-    reg.Add("exec.rows_scanned", s.rows);
-  }
+  if (s.rows_scanned > 0) reg.Add("exec.rows_scanned", s.rows_scanned);
+  if (s.index_probes > 0) reg.Add("exec.index_probes", s.index_probes);
   for (const PlanNode* c : plan.Children()) FlushPlanMetrics(*c);
 }
 
@@ -258,6 +264,7 @@ Result<bool> SeqScanNode::NextImpl(Row* out) {
   while (next_ < table_->num_slots()) {
     RowId rid = next_++;
     if (const Row* r = table_->VisibleRow(rid, view_)) {
+      ++mutable_stats().rows_scanned;
       *out = *r;
       return true;
     }
@@ -278,6 +285,7 @@ Result<bool> SeqScanNode::NextBatchImpl(Batch* out) {
     for (size_t c = 0; c < ncols; ++c) out->column(c).push_back((*r)[c]);
     ++produced;
   }
+  mutable_stats().rows_scanned += static_cast<int64_t>(produced);
   out->SetNumRows(produced);
   return produced > 0;
 }
@@ -313,6 +321,7 @@ Status ParallelSeqScanNode::OpenImpl() {
       std::min(slots, static_cast<size_t>(std::max(max_workers_, 1)) * 4);
   size_t per = (slots + num_morsels - 1) / num_morsels;
   std::vector<std::vector<Row>> buffers(num_morsels);
+  std::vector<int64_t> visible(num_morsels, 0);
   std::vector<Status> statuses(num_morsels, Status::OK());
   ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
   pool.ParallelFor(num_morsels, [&](size_t m) {
@@ -333,6 +342,7 @@ Status ParallelSeqScanNode::OpenImpl() {
     for (RowId rid = begin; rid < end; ++rid) {
       const Row* vr = table_->VisibleRow(rid, view_);
       if (vr == nullptr) continue;
+      ++visible[m];
       const Row& r = *vr;
       if (pred != nullptr) {
         Result<bool> pass = pred->EvalBool(r);
@@ -346,6 +356,7 @@ Status ParallelSeqScanNode::OpenImpl() {
     }
   });
   for (const Status& st : statuses) RETURN_IF_ERROR(st);
+  for (int64_t v : visible) mutable_stats().rows_scanned += v;
   size_t total = 0;
   for (const auto& b : buffers) total += b.size();
   rows_.reserve(total);
@@ -380,6 +391,10 @@ Result<bool> ParallelSeqScanNode::NextBatchImpl(Batch* out) {
 void ParallelSeqScanNode::CloseImpl() {
   rows_.clear();
   pos_ = 0;
+}
+
+std::string ParallelSeqScanNode::AnalyzeDetail() const {
+  return " scanned=" + std::to_string(stats().rows_scanned);
 }
 
 std::string ParallelSeqScanNode::Describe() const {
@@ -428,6 +443,25 @@ bool UsableBound(const Value& v, DataType ct) {
   return v.type() == ct;
 }
 
+/// Resolves an index entry (key columns + rid) to the row version visible to
+/// `view`, or nullptr when the entry is invisible to this read. The visible
+/// version's key columns must equal the entry key — that rejects entries
+/// from other versions of the row and dedups rows reachable through both an
+/// old and a new key (each row is emitted only for its visible key). Under a
+/// read-latest view (legacy lock mode, private tables) this is exactly the
+/// "entry is current" rule of Index::LookupRange plus Table::IsLive.
+const Row* VisibleEntryRow(const Table& table, const Index& index,
+                           const MvccReadView& view, const Row& entry) {
+  const RowId rid = static_cast<RowId>(entry.back().AsInt());
+  const Row* r = table.VisibleRow(rid, view);
+  if (r == nullptr) return nullptr;
+  const auto& keys = index.key_columns();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if ((*r)[keys[i]].Compare(entry[i]) != 0) return nullptr;
+  }
+  return r;
+}
+
 }  // namespace
 
 Status IndexScanNode::OpenImpl() {
@@ -466,27 +500,13 @@ Status IndexScanNode::OpenImpl() {
   return Status::OK();
 }
 
-/// Snapshot path: resolves the entry at `pos` to the row version visible to
-/// `view`, or nullptr when the entry is invisible to this scan. The visible
-/// version's key columns must equal the entry key — that rejects entries
-/// from other versions of the row and dedups rows reachable through both an
-/// old and a new key (each row is emitted only for its visible key).
-const Row* IndexScanNode::VisibleEntryRow(const Row& entry) const {
-  const RowId rid = static_cast<RowId>(entry.back().AsInt());
-  const Row* r = table_->VisibleRow(rid, view_);
-  if (r == nullptr) return nullptr;
-  const auto& keys = index_->key_columns();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if ((*r)[keys[i]].Compare(entry[i]) != 0) return nullptr;
-  }
-  return r;
-}
 
 Result<bool> IndexScanNode::NextImpl(Row* out) {
   if (snapshot_scan_) {
     while (pos_ < entries_.size()) {
-      const Row* r = VisibleEntryRow(entries_[pos_++]);
+      const Row* r = VisibleEntryRow(*table_, *index_, view_, entries_[pos_++]);
       if (r != nullptr) {
+        ++mutable_stats().rows_scanned;
         *out = *r;
         return true;
       }
@@ -496,6 +516,7 @@ Result<bool> IndexScanNode::NextImpl(Row* out) {
   while (pos_ < rids_.size()) {
     RowId rid = rids_[pos_++];
     if (table_->IsLive(rid)) {
+      ++mutable_stats().rows_scanned;
       *out = table_->row(rid);
       return true;
     }
@@ -510,11 +531,12 @@ Result<bool> IndexScanNode::NextBatchImpl(Batch* out) {
   size_t produced = 0;
   if (snapshot_scan_) {
     while (pos_ < entries_.size() && produced < target) {
-      const Row* r = VisibleEntryRow(entries_[pos_++]);
+      const Row* r = VisibleEntryRow(*table_, *index_, view_, entries_[pos_++]);
       if (r == nullptr) continue;
       for (size_t c = 0; c < ncols; ++c) out->column(c).push_back((*r)[c]);
       ++produced;
     }
+    mutable_stats().rows_scanned += static_cast<int64_t>(produced);
     out->SetNumRows(produced);
     return produced > 0;
   }
@@ -525,6 +547,7 @@ Result<bool> IndexScanNode::NextBatchImpl(Batch* out) {
     for (size_t c = 0; c < ncols; ++c) out->column(c).push_back(r[c]);
     ++produced;
   }
+  mutable_stats().rows_scanned += static_cast<int64_t>(produced);
   out->SetNumRows(produced);
   return produced > 0;
 }
@@ -891,6 +914,214 @@ std::string HashJoinNode::Describe() const {
   }
   if (residual_ != nullptr) out += " AND " + residual_->ToString();
   return out + ")";
+}
+
+// ---- IndexNestedLoopJoin ----
+
+IndexNestedLoopJoinNode::IndexNestedLoopJoinNode(
+    PlanPtr outer, const Table* table, const Index* index, std::string alias,
+    std::vector<ExprPtr> prefix, std::vector<ExprPtr> outer_keys,
+    std::vector<size_t> inner_cols, size_t seek_keys, ExprPtr inner_filter,
+    ExprPtr prefix_checks)
+    : outer_(std::move(outer)), table_(table), index_(index),
+      alias_(std::move(alias)), prefix_(std::move(prefix)),
+      outer_keys_(std::move(outer_keys)), inner_cols_(std::move(inner_cols)),
+      seek_keys_(seek_keys), inner_filter_(std::move(inner_filter)),
+      prefix_checks_(std::move(prefix_checks)) {
+  inner_schema_ = table_->schema().WithQualifier(
+      alias_.empty() ? table_->name() : alias_);
+  schema_ = Schema::Concat(outer_->output_schema(), inner_schema_);
+}
+
+Status IndexNestedLoopJoinNode::OpenImpl() {
+  for (auto& k : outer_keys_) RETURN_IF_ERROR(k->Bind(outer_->output_schema()));
+  if (inner_filter_ != nullptr) RETURN_IF_ERROR(inner_filter_->Bind(inner_schema_));
+  if (prefix_checks_ != nullptr) {
+    RETURN_IF_ERROR(prefix_checks_->Bind(inner_schema_));
+  }
+  MetricsRegistry::Global().Add("table." + table_->name() + ".scans", 1);
+  view_ = EffectiveReadView();
+  // Prefix values are resolved per execution (`?` parameters). The seek
+  // needs every one of them usable; otherwise fall back to matching against
+  // the inner rows of the usable part of the prefix.
+  static const Row kEmpty;
+  const auto& keys = index_->key_columns();
+  seek_.clear();
+  fallback_ = false;
+  for (size_t i = 0; i < prefix_.size(); ++i) {
+    ASSIGN_OR_RETURN(Value v, prefix_[i]->Eval(kEmpty));
+    if (!UsableBound(v, table_->schema().column(keys[i]).type)) {
+      fallback_ = true;
+      break;
+    }
+    seek_.push_back(std::move(v));
+  }
+  prefix_len_ = seek_.size();
+  fallback_rows_.clear();
+  if (fallback_) {
+    std::vector<const Row*> rows;
+    table_->ForEachIndexEntry(index_, seek_, [&](const Row& entry) {
+      if (const Row* r = VisibleEntryRow(*table_, *index_, view_, entry)) {
+        rows.push_back(r);
+      }
+    });
+    mutable_stats().rows_scanned += static_cast<int64_t>(rows.size());
+    for (const Row* r : rows) {
+      if (prefix_checks_ != nullptr) {
+        ASSIGN_OR_RETURN(bool pass, prefix_checks_->EvalBool(*r));
+        if (!pass) continue;
+      }
+      if (inner_filter_ != nullptr) {
+        ASSIGN_OR_RETURN(bool pass, inner_filter_->EvalBool(*r));
+        if (!pass) continue;
+      }
+      fallback_rows_.push_back(r);
+    }
+  }
+  matches_.clear();
+  match_pos_ = 0;
+  return outer_->Open();
+}
+
+bool IndexNestedLoopJoinNode::KeysMatch(const Row& inner, const Row& key) const {
+  // HashJoinNode's equality: equal under Compare (never for a NULL, as `key`
+  // holds none) and equal hashes — which differ only for int/double pairs
+  // outside the exactly hashed range.
+  for (size_t i = 0; i < key.size(); ++i) {
+    const Value& v = inner[inner_cols_[i]];
+    if (v.Compare(key[i]) != 0) return false;
+    if (v.type() != key[i].type() && v.Hash() != key[i].Hash()) return false;
+  }
+  return true;
+}
+
+Status IndexNestedLoopJoinNode::Probe(const Row& key) {
+  matches_.clear();
+  match_pos_ = 0;
+  if (fallback_) {
+    for (const Row* r : fallback_rows_) {
+      if (KeysMatch(*r, key)) matches_.push_back(r);
+    }
+    return Status::OK();
+  }
+  seek_.resize(prefix_len_);
+  seek_.insert(seek_.end(), key.begin(), key.begin() + seek_keys_);
+  candidates_.clear();
+  table_->ForEachIndexEntry(index_, seek_, [&](const Row& entry) {
+    if (const Row* r = VisibleEntryRow(*table_, *index_, view_, entry)) {
+      candidates_.push_back(r);
+    }
+  });
+  OperatorStats& st = mutable_stats();
+  ++st.index_probes;
+  st.rows_scanned += static_cast<int64_t>(candidates_.size());
+  for (const Row* r : candidates_) {
+    if (!KeysMatch(*r, key)) continue;
+    if (inner_filter_ != nullptr) {
+      ASSIGN_OR_RETURN(bool pass, inner_filter_->EvalBool(*r));
+      if (!pass) continue;
+    }
+    matches_.push_back(r);
+  }
+  return Status::OK();
+}
+
+Result<bool> IndexNestedLoopJoinNode::NextImpl(Row* out) {
+  while (true) {
+    if (match_pos_ < matches_.size()) {
+      const Row& r = *matches_[match_pos_++];
+      out->clear();
+      out->reserve(outer_row_.size() + r.size());
+      out->insert(out->end(), outer_row_.begin(), outer_row_.end());
+      out->insert(out->end(), r.begin(), r.end());
+      return true;
+    }
+    ASSIGN_OR_RETURN(bool more, outer_->Next(&outer_row_));
+    if (!more) return false;
+    Row key;
+    key.reserve(outer_keys_.size());
+    bool has_null = false;
+    for (auto& k : outer_keys_) {
+      ASSIGN_OR_RETURN(Value v, k->Eval(outer_row_));
+      has_null = has_null || v.is_null();
+      key.push_back(std::move(v));
+    }
+    matches_.clear();
+    match_pos_ = 0;
+    if (has_null) continue;  // NULL keys never join
+    RETURN_IF_ERROR(Probe(key));
+  }
+}
+
+Result<bool> IndexNestedLoopJoinNode::NextBatchImpl(Batch* out) {
+  const size_t ocols = outer_->output_schema().size();
+  while (true) {
+    ASSIGN_OR_RETURN(bool more, outer_->NextBatch(&outer_batch_));
+    if (!more) return false;
+    const std::vector<uint32_t>& rids = outer_batch_.ActiveRids();
+    std::vector<std::vector<Value>> keycols(outer_keys_.size());
+    for (size_t k = 0; k < outer_keys_.size(); ++k) {
+      RETURN_IF_ERROR(outer_keys_[k]->EvalBatch(outer_batch_, rids, &keycols[k]));
+    }
+    out->Reset(schema_.size());
+    size_t produced = 0;
+    Row key;
+    for (size_t i = 0; i < rids.size(); ++i) {
+      key.clear();
+      bool has_null = false;
+      for (size_t k = 0; k < outer_keys_.size(); ++k) {
+        has_null = has_null || keycols[k][i].is_null();
+        key.push_back(std::move(keycols[k][i]));
+      }
+      if (has_null) continue;  // NULL keys never join
+      RETURN_IF_ERROR(Probe(key));
+      for (const Row* r : matches_) {
+        for (size_t c = 0; c < ocols; ++c) {
+          out->column(c).push_back(outer_batch_.At(c, rids[i]));
+        }
+        for (size_t c = 0; c < r->size(); ++c) {
+          out->column(ocols + c).push_back((*r)[c]);
+        }
+        ++produced;
+      }
+    }
+    matches_.clear();
+    out->SetNumRows(produced);
+    if (produced > 0) return true;
+  }
+}
+
+void IndexNestedLoopJoinNode::CloseImpl() {
+  outer_->Close();
+  fallback_rows_.clear();
+  candidates_.clear();
+  matches_.clear();
+}
+
+std::string IndexNestedLoopJoinNode::Describe() const {
+  const std::string q = alias_.empty() ? table_->name() : alias_;
+  auto eq = [&](size_t col, const ExprPtr& value) {
+    return q + "." + table_->schema().column(col).name + " = " +
+           value->ToString();
+  };
+  std::string out =
+      "IndexNestedLoopJoin(" + table_->name() + "." + index_->name() + " [";
+  for (size_t i = 0; i < prefix_.size(); ++i) {
+    out += eq(index_->key_columns()[i], prefix_[i]) + ", ";
+  }
+  for (size_t i = 0; i < seek_keys_; ++i) {
+    out += eq(inner_cols_[i], outer_keys_[i]) + (i + 1 < seek_keys_ ? ", " : "]");
+  }
+  for (size_t i = seek_keys_; i < outer_keys_.size(); ++i) {
+    out += " AND " + eq(inner_cols_[i], outer_keys_[i]);
+  }
+  if (inner_filter_ != nullptr) out += ", filter=" + inner_filter_->ToString();
+  return out + ")";
+}
+
+std::string IndexNestedLoopJoinNode::AnalyzeDetail() const {
+  return " probes=" + std::to_string(stats().index_probes) +
+         " scanned=" + std::to_string(stats().rows_scanned);
 }
 
 // ---- Sort ----

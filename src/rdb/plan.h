@@ -50,6 +50,10 @@ struct OperatorStats {
   int64_t next_calls = 0;  ///< row-path Next() calls (shim calls included)
   int64_t batches = 0;     ///< batches produced (NextBatch() returning true)
   int64_t rows = 0;        ///< rows produced through either path
+  /// Base-table rows this operator read itself: the visible rows a scan
+  /// examined (before any pushed-down filter) or an index join's inner rows.
+  int64_t rows_scanned = 0;
+  int64_t index_probes = 0;  ///< index seeks (index nested-loop join)
   int64_t open_ns = 0;     ///< wall time inside Open(), children inclusive
   int64_t next_ns = 0;     ///< wall time inside Next*/shim, children inclusive
 };
@@ -91,9 +95,18 @@ class PlanNode {
   /// Explain() annotated with actual row counts and (if analyzing) timings.
   std::string ExplainAnalyze() const;
 
-  /// Count of operators of a given description prefix in this subtree —
-  /// used by the join-count experiment (T6).
+  /// Count of operators of a given description prefix in this subtree.
   int CountOperators(const std::string& prefix) const;
+  /// Join operators in this subtree (hash, nested-loop and index
+  /// nested-loop) — the join-count experiment (T6).
+  int CountJoins() const;
+  /// Base-table accesses in this subtree: every scan, plus the inner probe
+  /// of each index nested-loop join (its inner table is not a child node).
+  int CountTableAccesses() const;
+
+  /// Operator-specific EXPLAIN ANALYZE fields, appended after the common
+  /// ones (empty by default).
+  virtual std::string AnalyzeDetail() const { return ""; }
 
  protected:
   virtual Status OpenImpl() = 0;
@@ -102,6 +115,10 @@ class PlanNode {
   /// rows pulled through NextImpl. Vectorized operators override this.
   virtual Result<bool> NextBatchImpl(Batch* out);
   virtual void CloseImpl() = 0;
+
+  /// For operators that count their own table reads (rows_scanned,
+  /// index_probes) on top of what the wrappers collect.
+  OperatorStats& mutable_stats() { return stats_; }
 
  private:
   bool analyze_ = false;
@@ -160,6 +177,7 @@ class ParallelSeqScanNode : public PlanNode {
 
   const Schema& output_schema() const override { return schema_; }
   std::string Describe() const override;
+  std::string AnalyzeDetail() const override;
 
  protected:
   Status OpenImpl() override;
@@ -215,7 +233,6 @@ class IndexScanNode : public PlanNode {
   /// Snapshot path: raw index entries (key columns + rid); lazily maintained
   /// entries are re-verified against the visible version's key, which both
   /// rejects stale entries and dedups rows reachable via old + new keys.
-  const Row* VisibleEntryRow(const Row& entry) const;
   std::vector<Row> entries_;
   bool snapshot_scan_ = false;
   size_t pos_ = 0;
@@ -327,6 +344,74 @@ class HashJoinNode : public PlanNode {
   std::vector<const Row*> matches_;
   size_t match_pos_ = 0;
   Batch probe_batch_;  ///< batch-path probe input
+};
+
+/// Index nested-loop join: for every outer (left) row, seeks `index` of the
+/// inner table at (prefix values..., outer join keys...) and emits the
+/// visible inner rows that pass `inner_filter`, in outer order and then index
+/// order. The prefix values (literals or `?`) bind the index's leading key
+/// columns and are evaluated at Open(); the join keys bind the key columns
+/// that follow. `outer_keys[i] = inner.col(inner_cols[i])` for every key
+/// pair; the first `seek_keys` pairs are the seek suffix, the rest are only
+/// verified. Key pairs match exactly as in HashJoinNode: NULL never matches,
+/// and values must compare equal and hash alike (1 = 1.0, never 'x' = 1).
+///
+/// Reads re-verify every entry against the row version visible to the read
+/// view captured at Open(), like IndexScanNode: stale entries left by lazy
+/// index maintenance are skipped and each row is emitted once. If a prefix
+/// value is NULL or cannot be range-compared against its key column, the
+/// node instead reads the inner rows of the usable part of the prefix once,
+/// filters them with `prefix_checks` (the conjuncts the prefix came from)
+/// and `inner_filter`, and matches every outer row against that set — the
+/// same rows a hash join over the filtered inner table would give.
+class IndexNestedLoopJoinNode : public PlanNode {
+ public:
+  IndexNestedLoopJoinNode(PlanPtr outer, const Table* table, const Index* index,
+                          std::string alias, std::vector<ExprPtr> prefix,
+                          std::vector<ExprPtr> outer_keys,
+                          std::vector<size_t> inner_cols, size_t seek_keys,
+                          ExprPtr inner_filter, ExprPtr prefix_checks);
+
+  const Schema& output_schema() const override { return schema_; }
+  std::string Describe() const override;
+  std::string AnalyzeDetail() const override;
+  std::vector<const PlanNode*> Children() const override {
+    return {outer_.get()};
+  }
+
+ protected:
+  Status OpenImpl() override;
+  Result<bool> NextImpl(Row* out) override;
+  Result<bool> NextBatchImpl(Batch* out) override;
+  void CloseImpl() override;
+
+ private:
+  /// Fills matches_ with the inner rows joining `key` (the outer join-key
+  /// values, NULL-free).
+  Status Probe(const Row& key);
+  bool KeysMatch(const Row& inner, const Row& key) const;
+
+  PlanPtr outer_;
+  const Table* table_;
+  const Index* index_;
+  std::string alias_;
+  Schema inner_schema_, schema_;
+  std::vector<ExprPtr> prefix_, outer_keys_;
+  std::vector<size_t> inner_cols_;
+  size_t seek_keys_;
+  ExprPtr inner_filter_, prefix_checks_;  ///< over the inner schema; nullable
+
+  MvccReadView view_;  ///< captured at Open
+  Row seek_;           ///< prefix values, then the current outer keys
+  size_t prefix_len_ = 0;
+  /// Set when a prefix value is unusable: the pre-filtered inner rows every
+  /// outer row is matched against.
+  bool fallback_ = false;
+  std::vector<const Row*> fallback_rows_;
+  std::vector<const Row*> candidates_, matches_;
+  Row outer_row_;
+  size_t match_pos_ = 0;
+  Batch outer_batch_;
 };
 
 struct SortKey {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 namespace xmlrdb::rdb {
@@ -304,6 +305,58 @@ PlanPtr BuildScan(const Table* table, const std::string& alias,
   return scan;
 }
 
+/// Index nested-loop access path for joining a table as the inner side: an
+/// index whose key starts with columns bound by equality conjuncts on that
+/// table (literals or `?`), followed by one or more join columns.
+struct IndexJoinPath {
+  const Index* index = nullptr;
+  std::vector<size_t> prefix_conjuncts;  ///< per leading key column
+  std::vector<size_t> seek_cols;         ///< join key columns that follow
+};
+
+/// Schema index of a (possibly alias-qualified) column of `table`.
+std::optional<size_t> ColumnIndex(const Table& table, const std::string& name) {
+  size_t dot = name.find('.');
+  return table.schema().TryIndexOf(dot == std::string::npos
+                                       ? name
+                                       : name.substr(dot + 1));
+}
+
+/// The index of `table` covering the longest (equality prefix, join columns)
+/// key prefix, given its single-table conjuncts and the columns it can be
+/// equi-joined on. Depends only on the schema and the statement's shape, so
+/// a cached plan stays right whatever the data.
+std::optional<IndexJoinPath> FindIndexJoinPath(
+    const Table& table, const std::vector<ExprPtr>& filters,
+    const std::set<size_t>& join_cols) {
+  std::map<size_t, size_t> eq;  // key column -> first equality conjunct
+  for (size_t i = 0; i < filters.size(); ++i) {
+    ColOpLit m;
+    if (MatchColOpLit(*filters[i], table, &m) && m.op == BinOp::kEq) {
+      eq.emplace(m.col_index, i);
+    }
+  }
+  std::optional<IndexJoinPath> best;
+  for (const Index* index : table.IndexList()) {
+    IndexJoinPath path;
+    path.index = index;
+    const auto& keys = index->key_columns();
+    size_t k = 0;
+    for (; k < keys.size() && eq.count(keys[k]) > 0; ++k) {
+      path.prefix_conjuncts.push_back(eq[keys[k]]);
+    }
+    for (; k < keys.size() && join_cols.count(keys[k]) > 0; ++k) {
+      path.seek_cols.push_back(keys[k]);
+    }
+    if (path.seek_cols.empty()) continue;
+    if (!best.has_value() ||
+        k > best->prefix_conjuncts.size() + best->seek_cols.size()) {
+      best = std::move(path);
+    }
+  }
+  return best;
+}
+
 /// Extracts AggCallExprs, replacing each with a column reference to the
 /// aggregate's output column. Returns the rewritten expression.
 ExprPtr ExtractAggs(ExprPtr e, std::vector<AggSpec>* specs,
@@ -430,30 +483,43 @@ Result<PlanPtr> Planner::PlanSelect(const SelectStmt& stmt) const {
     }
   }
 
-  // --- build scans ---
-  std::map<std::string, PlanPtr> scans;
+  // --- join ordering (greedy) ---
+  // Tables an index nested-loop join can reach go last, so they end up on
+  // the inner side; within each group, smallest estimate first.
   std::map<std::string, double> estimates;
+  std::map<std::string, bool> index_reachable;
   for (const auto& [alias, table] : nr.tables) {
-    auto& filters = table_filters[alias];
+    const auto& filters = table_filters[alias];
     double est = static_cast<double>(table->num_rows());
     for (const auto& f : filters) {
       (void)f;
       est /= 10.0;  // heuristic selectivity per pushed-down predicate
     }
     estimates[alias] = std::max(est, 1.0);
-    scans[alias] = BuildScan(table, alias, &filters, options_);
+    std::set<size_t> join_cols;
+    for (const JoinPred& jp : join_preds) {
+      const std::string* col = jp.left_alias == alias    ? &jp.left_col
+                               : jp.right_alias == alias ? &jp.right_col
+                                                         : nullptr;
+      if (col == nullptr) continue;
+      if (auto c = ColumnIndex(*table, *col)) join_cols.insert(*c);
+    }
+    index_reachable[alias] =
+        FindIndexJoinPath(*table, filters, join_cols).has_value();
   }
-
-  // --- join ordering (greedy) ---
   std::vector<std::string> remaining;
   for (const auto& [alias, _] : nr.tables) remaining.push_back(alias);
   std::sort(remaining.begin(), remaining.end(),
             [&](const std::string& a, const std::string& b) {
+              if (index_reachable[a] != index_reachable[b]) {
+                return !index_reachable[a];
+              }
               return estimates[a] < estimates[b];
             });
 
   std::set<std::string> joined;
-  PlanPtr plan = std::move(scans[remaining.front()]);
+  PlanPtr plan = BuildScan(nr.TableOf(remaining.front()), remaining.front(),
+                           &table_filters[remaining.front()], options_);
   joined.insert(remaining.front());
   remaining.erase(remaining.begin());
   std::vector<bool> pred_used(join_preds.size(), false);
@@ -479,31 +545,84 @@ Result<PlanPtr> Planner::PlanSelect(const SelectStmt& stmt) const {
     if (pick < 0) pick = 0;
     std::string alias = remaining[static_cast<size_t>(pick)];
     remaining.erase(remaining.begin() + pick);
+    const Table* table = nr.TableOf(alias);
+    std::vector<ExprPtr>& filters = table_filters[alias];
 
     if (connected) {
-      // Gather all join predicates between the joined set and `alias`.
-      std::vector<ExprPtr> lkeys, rkeys;
+      // Gather all join predicates between the joined set and `alias`, as
+      // (joined-side column, alias-side column) pairs.
+      std::vector<std::pair<std::string, std::string>> keys;
       for (size_t p = 0; p < join_preds.size(); ++p) {
         if (pred_used[p]) continue;
         JoinPred& jp = join_preds[p];
         if (joined.count(jp.left_alias) > 0 && jp.right_alias == alias) {
-          lkeys.push_back(Col(jp.left_col));
-          rkeys.push_back(Col(jp.right_col));
+          keys.emplace_back(jp.left_col, jp.right_col);
           pred_used[p] = true;
         } else if (joined.count(jp.right_alias) > 0 && jp.left_alias == alias) {
-          lkeys.push_back(Col(jp.right_col));
-          rkeys.push_back(Col(jp.left_col));
+          keys.emplace_back(jp.right_col, jp.left_col);
           pred_used[p] = true;
         }
       }
-      plan = std::make_unique<HashJoinNode>(std::move(plan),
-                                            std::move(scans[alias]),
-                                            std::move(lkeys), std::move(rkeys),
-                                            nullptr);
+      std::vector<size_t> inner_cols;
+      for (const auto& key : keys) {
+        if (auto c = ColumnIndex(*table, key.second)) inner_cols.push_back(*c);
+      }
+      std::optional<IndexJoinPath> path;
+      if (inner_cols.size() == keys.size()) {
+        path = FindIndexJoinPath(
+            *table, filters,
+            std::set<size_t>(inner_cols.begin(), inner_cols.end()));
+      }
+      if (path.has_value()) {
+        // Seek keys first, in index-key order; the other pairs are verified.
+        std::vector<size_t> order;
+        for (size_t col : path->seek_cols) {
+          order.push_back(static_cast<size_t>(
+              std::find(inner_cols.begin(), inner_cols.end(), col) -
+              inner_cols.begin()));
+        }
+        for (size_t i = 0; i < keys.size(); ++i) {
+          if (std::find(order.begin(), order.end(), i) == order.end()) {
+            order.push_back(i);
+          }
+        }
+        std::vector<ExprPtr> outer_keys;
+        std::vector<size_t> ordered_cols;
+        for (size_t i : order) {
+          outer_keys.push_back(Col(keys[i].first));
+          ordered_cols.push_back(inner_cols[i]);
+        }
+        // The prefix conjuncts leave the inner filter; they are re-checked
+        // only when a prefix value turns out unusable at run time.
+        std::vector<ExprPtr> prefix, checks, rest;
+        for (size_t ci : path->prefix_conjuncts) {
+          ColOpLit m;
+          MatchColOpLit(*filters[ci], *table, &m);
+          prefix.push_back(std::move(m.value));
+          checks.push_back(std::move(filters[ci]));
+        }
+        for (auto& f : filters) {
+          if (f != nullptr) rest.push_back(std::move(f));
+        }
+        filters.clear();
+        plan = std::make_unique<IndexNestedLoopJoinNode>(
+            std::move(plan), table, path->index, alias, std::move(prefix),
+            std::move(outer_keys), std::move(ordered_cols),
+            path->seek_cols.size(), AndAll(std::move(rest)),
+            AndAll(std::move(checks)));
+      } else {
+        std::vector<ExprPtr> lkeys, rkeys;
+        for (const auto& key : keys) {
+          lkeys.push_back(Col(key.first));
+          rkeys.push_back(Col(key.second));
+        }
+        plan = std::make_unique<HashJoinNode>(
+            std::move(plan), BuildScan(table, alias, &filters, options_),
+            std::move(lkeys), std::move(rkeys), nullptr);
+      }
     } else {
-      plan = std::make_unique<NestedLoopJoinNode>(std::move(plan),
-                                                  std::move(scans[alias]),
-                                                  nullptr);
+      plan = std::make_unique<NestedLoopJoinNode>(
+          std::move(plan), BuildScan(table, alias, &filters, options_), nullptr);
     }
     joined.insert(alias);
   }

@@ -4,8 +4,11 @@
 //   * predicate pushdown — single-table conjuncts move below the joins
 //   * index selection — equality-prefix (+ one range column) predicates use a
 //     matching B+-tree index instead of a sequential scan
-//   * join ordering — greedy smallest-estimate-first over the join graph
-//   * hash joins for equi-join predicates, nested-loop otherwise
+//   * join ordering — greedy over the join graph: tables an index join can
+//     reach go last (inner side), smallest estimate first within each group
+//   * index nested-loop joins for equi-joins whose inner table has an index
+//     keyed (equality-bound columns..., join columns...), hash joins for
+//     the other equi-joins, nested-loop otherwise
 //   * aggregate extraction — AggCallExprs become an AggregateNode
 
 #ifndef XMLRDB_RDB_PLANNER_H_

@@ -267,6 +267,22 @@ class Table {
                                        bool lower_inclusive, const Row& upper,
                                        bool upper_inclusive) const;
 
+  /// Latched point probe: calls fn(entry) for every index entry (key
+  /// columns + rid, key order) whose key starts with `prefix`, without
+  /// copying the entries. `fn` runs under the shared index latch, so it must
+  /// not touch the index set; reading row versions is fine.
+  template <typename Fn>
+  void ForEachIndexEntry(const Index* index, const Row& prefix, Fn&& fn) const {
+    std::shared_lock<std::shared_mutex> il(index_mu_);
+    const BTree& tree = index->tree();
+    for (BTree::Iterator it = prefix.empty() ? tree.Begin()
+                                             : tree.SeekAtLeast(prefix);
+         it.Valid(); it.Next()) {
+      if (PrefixCompareRows(it.key(), prefix) != 0) break;
+      fn(it.key());
+    }
+  }
+
   /// Unlinks every version no snapshot at or after `bound` can reach,
   /// removes index entries that served only those versions, and frees
   /// limbo versions once allowed by `floor` (see MvccEngine::ReclaimFloor).

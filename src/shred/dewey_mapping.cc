@@ -185,28 +185,17 @@ Result<std::vector<StepResult>> DeweyMapping::Step(
     const std::string& name_test) const {
   std::vector<StepResult> out;
   if (context.empty()) return out;
-  // Fetch context levels: point lookups for small sets, one join otherwise.
+  // Fetch context levels in one statement: the join probes dw_key once per
+  // context node.
   std::unordered_map<std::string, int64_t> levels;
-  if (context.size() <= 8) {
-    for (const Value& ctx : context) {
-      ASSIGN_OR_RETURN(
-          QueryResult r,
-          ExecPrepared(db,
-                       "SELECT level FROM dw_nodes WHERE docid = ? "
-                       "AND dewey = ?",
-                       {DV(doc), ctx}));
-      if (!r.rows.empty()) levels[ctx.AsString()] = r.rows[0][0].AsInt();
-    }
-  } else {
-    RETURN_IF_ERROR(LoadContextTable(db, Ctx(), DataType::kString, context));
-    ASSIGN_OR_RETURN(QueryResult li,
-                     ExecPrepared(db,
-                                  "SELECT c.id, n.level FROM " + Ctx() +
-                                      " c JOIN dw_nodes n ON n.dewey = c.id "
-                                      "WHERE n.docid = ?",
-                                  {DV(doc)}));
-    for (auto& row : li.rows) levels[row[0].AsString()] = row[1].AsInt();
-  }
+  RETURN_IF_ERROR(LoadContextTable(db, Ctx(), DataType::kString, context));
+  ASSIGN_OR_RETURN(QueryResult li,
+                   ExecPrepared(db,
+                                "SELECT c.id, n.level FROM " + Ctx() +
+                                    " c JOIN dw_nodes n ON n.dewey = c.id "
+                                    "WHERE n.docid = ?",
+                                {DV(doc)}));
+  for (auto& row : li.rows) levels[row[0].AsString()] = row[1].AsInt();
 
   // Large context sets: one ordered scan of candidate rows merged against
   // the sorted context key ranges (the string-keyed analogue of the interval

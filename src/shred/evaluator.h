@@ -18,7 +18,7 @@ namespace xmlrdb::shred {
 struct EvalStats {
   int64_t sql_statements = 0;  ///< SQL statements issued
   int64_t tables_touched = 0;  ///< distinct tables scanned
-  int64_t rows_scanned = 0;    ///< rows produced by SeqScan/IndexScan
+  int64_t rows_scanned = 0;    ///< base-table rows read (scans, index joins)
 };
 
 /// Evaluates `path` against the stored document, returning matching node ids

@@ -1,7 +1,9 @@
 #include "shred/inline_mapping.h"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
+#include <string_view>
 
 #include "common/str_util.h"
 #include "shred/shred_util.h"
@@ -180,6 +182,32 @@ Result<InlineMapping::ParsedRef> InlineMapping::ParseRef(
     ref.attr = parts[3].substr(1);
   }
   return ref;
+}
+
+bool InlineMapping::NodeIdLess(const rdb::Value& a, const rdb::Value& b) const {
+  // "<table>|<row id>|<rest>": split without allocating; anything else
+  // falls back to plain value order.
+  struct Key {
+    std::string_view table, rest;
+    int64_t row_id = 0;
+  };
+  auto split = [](const rdb::Value& v, Key* k) {
+    if (v.type() != DataType::kString) return false;
+    std::string_view s = v.AsString();
+    size_t p1 = s.find('|');
+    size_t p2 = p1 == std::string_view::npos ? p1 : s.find('|', p1 + 1);
+    if (p2 == std::string_view::npos) return false;
+    auto [end, ec] = std::from_chars(s.data() + p1 + 1, s.data() + p2, k->row_id);
+    if (ec != std::errc() || end != s.data() + p2) return false;
+    k->table = s.substr(0, p1);
+    k->rest = s.substr(p2 + 1);
+    return true;
+  };
+  Key ka, kb;
+  if (!split(a, &ka) || !split(b, &kb)) return a.Compare(b) < 0;
+  if (ka.table != kb.table) return ka.table < kb.table;
+  if (ka.row_id != kb.row_id) return ka.row_id < kb.row_id;
+  return ka.rest < kb.rest;
 }
 
 Result<std::string> InlineMapping::ElementTypeAt(const ParsedRef& ref) const {

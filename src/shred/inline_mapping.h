@@ -64,6 +64,9 @@ class InlineMapping : public Mapping {
   Result<std::vector<StepResult>> Step(rdb::Database* db, DocId doc,
                                        const NodeSet& context, xpath::Axis axis,
                                        const std::string& name_test) const override;
+  /// Orders ids by (table, numeric row id, inline path): document order
+  /// within one table, whatever the number of digits in the row ids.
+  bool NodeIdLess(const rdb::Value& a, const rdb::Value& b) const override;
   Result<std::vector<std::string>> StringValues(
       rdb::Database* db, DocId doc, const NodeSet& nodes) const override;
 

@@ -144,23 +144,7 @@ Result<NodeSet> IntervalMapping::AllElements(rdb::Database* db, DocId doc,
 
 Result<std::vector<IntervalMapping::NodeInfo>> IntervalMapping::FetchInfo(
     rdb::Database* db, DocId doc, const NodeSet& nodes) const {
-  // Small sets: indexed point lookups beat building a join partner table.
-  if (nodes.size() <= 8) {
-    std::vector<NodeInfo> out;
-    out.reserve(nodes.size());
-    for (const Value& v : nodes) {
-      ASSIGN_OR_RETURN(QueryResult r,
-                       ExecPrepared(db,
-                                    "SELECT size, level FROM iv_nodes "
-                                    "WHERE docid = ? AND pre = ?",
-                                    {DV(doc), v}));
-      if (r.rows.empty()) {
-        return Status::NotFound("interval node pre=" + v.ToString());
-      }
-      out.push_back({v.AsInt(), r.rows[0][0].AsInt(), r.rows[0][1].AsInt()});
-    }
-    return out;
-  }
+  // One statement: the join probes iv_pre once per context node.
   RETURN_IF_ERROR(LoadContextTable(db, Ctx(), DataType::kInt, nodes));
   ASSIGN_OR_RETURN(QueryResult r,
                    ExecPrepared(db,

@@ -122,6 +122,13 @@ class Mapping {
       rdb::Database* db, DocId doc, const NodeSet& context, xpath::Axis axis,
       const std::string& name_test) const = 0;
 
+  /// Strict weak order on node ids, used to sort and dedup node sets. The
+  /// default (Value::Compare) is document order for the order-preserving
+  /// mappings.
+  virtual bool NodeIdLess(const rdb::Value& a, const rdb::Value& b) const {
+    return a.Compare(b) < 0;
+  }
+
   /// XPath string-value: attribute value, or concatenated descendant text
   /// for elements. One output per input, in order.
   virtual Result<std::vector<std::string>> StringValues(

@@ -65,6 +65,32 @@ TEST_F(PlannerTest, EquiJoinUsesHashJoin) {
             0);
 }
 
+TEST_F(PlannerTest, IndexedEquiJoinUsesIndexNestedLoopJoin) {
+  const std::string sql =
+      "SELECT b.id, s.tag FROM big b, small s "
+      "WHERE b.grp = s.id AND s.tag <> 't3' ORDER BY b.id";
+  auto hashed = db_.Execute(sql);
+  ASSERT_TRUE(hashed.ok()) << hashed.status();
+  Exec("CREATE INDEX small_id ON small (id)");
+  // small is reachable through its index, so it goes on the inner side even
+  // though its estimate is the smaller one.
+  EXPECT_EQ(Count(sql, "IndexNestedLoopJoin"), 1);
+  EXPECT_EQ(Count(sql, "HashJoin"), 0);
+  std::string text = Explain(sql);
+  EXPECT_NE(text.find("IndexNestedLoopJoin(small.small_id [s.id = b.grp], "
+                      "filter=(s.tag <> 't3'))"),
+            std::string::npos)
+      << text;
+  auto plan = db_.PlanSql(sql);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value()->CountJoins(), 1);
+  EXPECT_EQ(plan.value()->CountTableAccesses(), 2);
+  auto indexed = db_.Execute(sql);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  EXPECT_EQ(indexed.value().ToString(), hashed.value().ToString());
+  EXPECT_EQ(indexed.value().rows.size(), 40u);
+}
+
 TEST_F(PlannerTest, NonEquiJoinFallsBackToNestedLoop) {
   std::string sql = "SELECT b.id FROM big b, small s WHERE b.grp < s.id";
   EXPECT_EQ(Count(sql, "NestedLoopJoin"), 1);

@@ -136,9 +136,8 @@ TEST_F(TranslateTest, JoinCountsMatchMappingStory) {
   ASSERT_TRUE(sql.ok());
   auto plan = db_.PlanSql(sql.value());
   ASSERT_TRUE(plan.ok()) << plan.status();
-  int joins = plan.value()->CountOperators("HashJoin") +
-              plan.value()->CountOperators("NestedLoopJoin");
-  EXPECT_EQ(joins, 3);  // 4 steps -> 3 joins
+  EXPECT_EQ(plan.value()->CountJoins(), 3)  // 4 steps -> 3 joins
+      << plan.value()->Explain();
 }
 
 }  // namespace
