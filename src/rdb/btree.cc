@@ -53,16 +53,20 @@ BTree::~BTree() {
   }
 }
 
+size_t BTree::ChildFor(const InternalNode& in, const Row& key) {
+  // The child after the last separator <= key (separators[i] is the smallest
+  // key of children[i + 1]).
+  auto sep = std::partition_point(
+      in.separators.begin(), in.separators.end(),
+      [&](const Row& s) { return CompareRows(s, key) <= 0; });
+  return static_cast<size_t>(sep - in.separators.begin());
+}
+
 BTree::LeafNode* BTree::FindLeaf(const Row& key) const {
   Node* n = root_;
   while (!n->is_leaf) {
     auto* in = static_cast<InternalNode*>(n);
-    // First separator > key → go to that child; otherwise rightmost.
-    size_t i = 0;
-    while (i < in->separators.size() && CompareRows(key, in->separators[i]) >= 0) {
-      ++i;
-    }
-    n = in->children[i];
+    n = in->children[ChildFor(*in, key)];
   }
   return static_cast<LeafNode*>(n);
 }
@@ -74,10 +78,7 @@ bool BTree::Insert(Row key) {
   Node* n = root_;
   while (!n->is_leaf) {
     auto* in = static_cast<InternalNode*>(n);
-    size_t i = 0;
-    while (i < in->separators.size() && CompareRows(key, in->separators[i]) >= 0) {
-      ++i;
-    }
+    size_t i = ChildFor(*in, key);
     path.push_back(in);
     path_idx.push_back(i);
     n = in->children[i];
@@ -197,26 +198,31 @@ BTree::Iterator BTree::Begin() const {
 }
 
 BTree::Iterator BTree::SeekAtLeast(const Row& bound, bool inclusive) const {
-  // Descend using full comparison against the bound; because the bound may be
-  // a strict prefix, CompareRows orders it before any key sharing the prefix,
-  // so lower_bound-style descent lands at the correct leaf.
+  // A key is "below" the bound while its prefix compares < bound (<= when
+  // exclusive). Keys are sorted, so that predicate is true on a prefix of
+  // every node: binary-search for its end, in the separators on the way down
+  // and in the leaf at the bottom. Every key left of a separator that is
+  // below the bound is below it too, so the first qualifying key lies in the
+  // child the search picks or in a later leaf.
+  auto below = [&](const Row& key) {
+    int c = PrefixCompareRows(key, bound);
+    return c < 0 || (!inclusive && c == 0);
+  };
   Node* n = root_;
   while (!n->is_leaf) {
     auto* in = static_cast<InternalNode*>(n);
-    // Descend to the leftmost child that can contain a prefix-equal key:
-    // advance only past separators strictly below the bound.
-    size_t i = 0;
-    while (i < in->separators.size() &&
-           PrefixCompareRows(in->separators[i], bound) < 0) {
-      ++i;
-    }
-    n = in->children[i];
+    auto sep = std::partition_point(in->separators.begin(),
+                                    in->separators.end(), below);
+    n = in->children[static_cast<size_t>(sep - in->separators.begin())];
   }
   auto* leaf = static_cast<LeafNode*>(n);
   Iterator it;
   it.leaf_ = leaf;
-  it.pos_ = 0;
-  // Advance within the leaf chain to the first qualifying key.
+  it.pos_ = static_cast<size_t>(
+      std::partition_point(leaf->keys.begin(), leaf->keys.end(), below) -
+      leaf->keys.begin());
+  // Walk on along the leaf chain: the landing leaf may hold no qualifying
+  // key, and later leaves may have been emptied by lazy deletion.
   while (it.Valid()) {
     const auto* l = static_cast<const LeafNode*>(it.leaf_);
     if (it.pos_ >= l->keys.size()) {
@@ -224,8 +230,7 @@ BTree::Iterator BTree::SeekAtLeast(const Row& bound, bool inclusive) const {
       it.pos_ = 0;
       continue;
     }
-    int c = PrefixCompareRows(l->keys[it.pos_], bound);
-    if (c > 0 || (inclusive && c == 0)) break;
+    if (!below(l->keys[it.pos_])) break;
     ++it.pos_;
   }
   return it;

@@ -78,6 +78,8 @@ class BTree {
   struct InternalNode;
 
   LeafNode* FindLeaf(const Row& key) const;
+  /// Index of the child of `in` whose key range holds `key` (binary search).
+  static size_t ChildFor(const InternalNode& in, const Row& key);
 
   Node* root_;
   size_t max_keys_;

@@ -87,6 +87,18 @@ int CompareIntWithDouble(int64_t i, double d) {
 }  // namespace
 
 int Value::Compare(const Value& other) const {
+  // Same-type integers and strings first: they are the index keys, and a
+  // B+-tree probe compares them many times.
+  if (const auto* x = std::get_if<int64_t>(&rep_)) {
+    if (const auto* y = std::get_if<int64_t>(&other.rep_)) {
+      return (*x > *y) - (*x < *y);
+    }
+  } else if (const auto* s = std::get_if<std::string>(&rep_)) {
+    if (const auto* t = std::get_if<std::string>(&other.rep_)) {
+      int c = s->compare(*t);
+      return (c > 0) - (c < 0);
+    }
+  }
   bool an = is_null(), bn = other.is_null();
   if (an || bn) {
     if (an && bn) return 0;

@@ -71,6 +71,10 @@ Result<int64_t> DeweyComponentOrdinal(const std::string& component) {
   return ordinal.value();
 }
 
+int64_t DeweyLevel(const std::string& dewey) {
+  return 1 + std::count(dewey.begin(), dewey.end(), '.');
+}
+
 std::string DeweyChild(const std::string& parent, int64_t ordinal) {
   if (parent.empty()) return DeweyComponent(ordinal);
   return parent + "." + DeweyComponent(ordinal);
@@ -185,17 +189,6 @@ Result<std::vector<StepResult>> DeweyMapping::Step(
     const std::string& name_test) const {
   std::vector<StepResult> out;
   if (context.empty()) return out;
-  // Fetch context levels in one statement: the join probes dw_key once per
-  // context node.
-  std::unordered_map<std::string, int64_t> levels;
-  RETURN_IF_ERROR(LoadContextTable(db, Ctx(), DataType::kString, context));
-  ASSIGN_OR_RETURN(QueryResult li,
-                   ExecPrepared(db,
-                                "SELECT c.id, n.level FROM " + Ctx() +
-                                    " c JOIN dw_nodes n ON n.dewey = c.id "
-                                    "WHERE n.docid = ?",
-                                {DV(doc)}));
-  for (auto& row : li.rows) levels[row[0].AsString()] = row[1].AsInt();
 
   // Large context sets: one ordered scan of candidate rows merged against
   // the sorted context key ranges (the string-keyed analogue of the interval
@@ -224,9 +217,7 @@ Result<std::vector<StepResult>> DeweyMapping::Step(
     bool nested = false;
     for (size_t i = 0; i < context.size(); ++i) {
       const std::string& d = context[i].AsString();
-      auto lit = levels.find(d);
-      if (lit == levels.end()) return Status::NotFound("dewey node " + d);
-      info.push_back({d + ".", d + "/", lit->second});
+      info.push_back({d + ".", d + "/", DeweyLevel(d)});
       if (i > 0 && info[i].lower < info[i - 1].upper) nested = true;
     }
     std::vector<std::pair<size_t, StepResult>> hits;
@@ -270,10 +261,6 @@ Result<std::vector<StepResult>> DeweyMapping::Step(
   }
 
   for (const Value& ctx : context) {
-    auto it = levels.find(ctx.AsString());
-    if (it == levels.end()) {
-      return Status::NotFound("dewey node " + ctx.ToString());
-    }
     const std::string& d = ctx.AsString();
     std::string sql = "SELECT dewey FROM dw_nodes WHERE docid = ? "
                       "AND dewey > ? AND dewey < ?";
@@ -281,11 +268,11 @@ Result<std::vector<StepResult>> DeweyMapping::Step(
     switch (axis) {
       case xpath::Axis::kChild:
         sql += " AND level = ? AND kind = 'elem'";
-        params.emplace_back(it->second + 1);
+        params.emplace_back(DeweyLevel(d) + 1);
         break;
       case xpath::Axis::kAttribute:
         sql += " AND level = ? AND kind = 'attr'";
-        params.emplace_back(it->second + 1);
+        params.emplace_back(DeweyLevel(d) + 1);
         break;
       case xpath::Axis::kDescendant:
         sql += " AND kind = 'elem'";
@@ -305,28 +292,44 @@ Result<std::vector<StepResult>> DeweyMapping::Step(
 Result<std::vector<std::string>> DeweyMapping::StringValues(
     rdb::Database* db, DocId doc, const NodeSet& nodes) const {
   std::vector<std::string> out(nodes.size());
+  if (nodes.empty()) return out;
+  // Every node's own row in one join: attributes and text nodes carry their
+  // value directly.
+  RETURN_IF_ERROR(LoadContextTable(db, Ctx(), DataType::kString, nodes));
+  ASSIGN_OR_RETURN(QueryResult self,
+                   ExecPrepared(db,
+                                "SELECT c.id, n.kind, n.value FROM " + Ctx() +
+                                    " c JOIN dw_nodes n ON n.dewey = c.id "
+                                    "WHERE n.docid = ?",
+                                {DV(doc)}));
+  std::unordered_map<std::string, const rdb::Row*> own;
+  for (const rdb::Row& row : self.rows) own[row[0].AsString()] = &row;
+  // Elements read the text rows of their key range [d + ".", d + "/"), one
+  // range statement per distinct element.
+  std::unordered_map<std::string, std::string> element_text;
   for (size_t i = 0; i < nodes.size(); ++i) {
     const std::string& d = nodes[i].AsString();
-    ASSIGN_OR_RETURN(QueryResult self,
-                     ExecPrepared(db,
-                                  "SELECT kind, value FROM dw_nodes "
-                                  "WHERE docid = ? AND dewey = ?",
-                                  {DV(doc), nodes[i]}));
-    if (self.rows.empty()) continue;
-    if (self.rows[0][0].AsString() != "elem") {
-      out[i] = self.rows[0][1].is_null() ? "" : self.rows[0][1].AsString();
+    auto it = own.find(d);
+    if (it == own.end()) continue;
+    const rdb::Row& row = *it->second;
+    if (row[1].AsString() != "elem") {
+      out[i] = row[2].is_null() ? "" : row[2].AsString();
       continue;
     }
-    ASSIGN_OR_RETURN(
-        QueryResult r,
-        ExecPrepared(db,
-                     "SELECT value FROM dw_nodes WHERE docid = ? "
-                     "AND dewey > ? AND dewey < ? AND kind = 'text' "
-                     "ORDER BY dewey",
-                     {DV(doc), Value(d + "."), Value(d + "/")}));
-    for (auto& row : r.rows) {
-      if (!row[0].is_null()) out[i] += row[0].AsString();
+    auto [text, fresh] = element_text.emplace(d, "");
+    if (fresh) {
+      ASSIGN_OR_RETURN(
+          QueryResult r,
+          ExecPrepared(db,
+                       "SELECT value FROM dw_nodes WHERE docid = ? "
+                       "AND dewey > ? AND dewey < ? AND kind = 'text' "
+                       "ORDER BY dewey",
+                       {DV(doc), Value(d + "."), Value(d + "/")}));
+      for (auto& tr : r.rows) {
+        if (!tr[0].is_null()) text->second += tr[0].AsString();
+      }
     }
+    out[i] = text->second;
   }
   return out;
 }

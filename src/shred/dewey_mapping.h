@@ -38,6 +38,10 @@ Result<int64_t> DeweyComponentOrdinal(const std::string& component);
 /// Appends a component: "000001" + 3 -> "000001.000003".
 std::string DeweyChild(const std::string& parent, int64_t ordinal);
 
+/// Tree level of a label, the root being 1: one per component. It equals
+/// the stored `level` column, so a step needs no statement to look it up.
+int64_t DeweyLevel(const std::string& dewey);
+
 class DeweyMapping : public Mapping {
  public:
   std::string name() const override { return "dewey"; }

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <functional>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/str_util.h"
 #include "shred/shred_util.h"
@@ -90,7 +91,6 @@ Result<std::unique_ptr<InlineMapping>> InlineMapping::Create(
 
     m->storage_[x] = {true, tname, ""};
     m->table_element_[tname] = x;
-    m->path_element_[{tname, ""}] = x;
 
     // Recursive closure over inlined descendants.
     struct Planner {
@@ -124,7 +124,6 @@ Result<std::unique_ptr<InlineMapping>> InlineMapping::Create(
           add_col("c_" + cpath + "_id", DataType::kInt);
           add_col("c_" + cpath + "_seq", DataType::kInt);
           m->storage_[child.name] = {false, *tname, cpath};
-          m->path_element_[{*tname, cpath}] = child.name;
           RETURN_IF_ERROR(Plan(child.name, cpath));
         }
         return Status::OK();
@@ -133,6 +132,41 @@ Result<std::unique_ptr<InlineMapping>> InlineMapping::Create(
     Planner planner{m.get(), &tables, &tname, add_col};
     RETURN_IF_ERROR(planner.Plan(x, ""));
     m->table_columns_[x] = std::move(cols);
+  }
+
+  // 3. One slot per element position: the host-row columns it reads and the
+  // tables its table children live in. A column the plan renamed to avoid a
+  // clash is left out, so it reads as NULL.
+  for (const auto& [type, st] : m->storage_) {
+    const std::vector<Column>& cols =
+        m->table_columns_.at(m->table_element_.at(st.table));
+    auto has_col = [&](const std::string& name) {
+      return std::any_of(cols.begin(), cols.end(),
+                         [&](const Column& c) { return c.name == name; });
+    };
+    const SimplifiedElement& se = m->sdtd_.elements.at(type);
+    const std::string prefix = ColPrefix(st.path);
+    Slot slot;
+    slot.type = type;
+    if (has_col(prefix + "tx")) slot.text_col = prefix + "tx";
+    for (const auto& attr : se.attributes) {
+      std::string col = prefix + "at_" + SanitizeName(attr.name);
+      if (has_col(col)) slot.attrs.emplace_back(attr.name, std::move(col));
+    }
+    for (const auto& child : se.children) {
+      const Storage& cst = m->storage_.at(child.name);
+      if (cst.is_table) {
+        slot.tabled.push_back({cst.table});
+      } else {
+        slot.inlined.push_back(
+            {cst.path, "c_" + cst.path + "_ex", "c_" + cst.path + "_seq"});
+      }
+    }
+    m->slots_[{st.table, st.path}] = std::move(slot);
+  }
+  for (auto& [key, slot] : m->slots_) {
+    for (auto& in : slot.inlined) in.slot = &m->slots_.at({key.first, in.path});
+    for (auto& tab : slot.tabled) tab.slot = &m->slots_.at({tab.table, ""});
   }
   return m;
 }
@@ -210,12 +244,13 @@ bool InlineMapping::NodeIdLess(const rdb::Value& a, const rdb::Value& b) const {
   return ka.rest < kb.rest;
 }
 
-Result<std::string> InlineMapping::ElementTypeAt(const ParsedRef& ref) const {
-  auto it = path_element_.find({ref.table, ref.path});
-  if (it == path_element_.end()) {
+Result<const InlineMapping::Slot*> InlineMapping::SlotAt(
+    const ParsedRef& ref) const {
+  auto it = slots_.find({ref.table, ref.path});
+  if (it == slots_.end()) {
     return Status::NotFound("no element at " + ref.table + "|" + ref.path);
   }
-  return it->second;
+  return &it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -432,114 +467,234 @@ Result<NodeSet> InlineMapping::AllElements(rdb::Database* db, DocId doc,
   return out;
 }
 
-Result<std::vector<InlineMapping::ChildHit>> InlineMapping::ChildrenOf(
-    rdb::Database* db, DocId doc, const ParsedRef& ref) const {
-  ASSIGN_OR_RETURN(std::string type, ElementTypeAt(ref));
-  const SimplifiedElement& se = sdtd_.elements.at(type);
-  std::vector<ChildHit> hits;
+// ---------------------------------------------------------------------------
+// Set-at-a-time navigation
+// ---------------------------------------------------------------------------
 
-  // One row fetch serves every inlined child.
-  ASSIGN_OR_RETURN(
-      QueryResult row,
-      ExecPrepared(db,
-                   "SELECT * FROM " + ref.table + " WHERE docid = ? AND id = ?",
-                   {DV(doc), Value(ref.row_id)}));
-  if (row.rows.empty()) {
-    return Status::NotFound("inline row " + std::to_string(ref.row_id));
-  }
-  auto col_value = [&](const std::string& name) -> Value {
-    auto idx = row.schema.TryIndexOf(name);
-    return idx.has_value() ? row.rows[0][*idx] : Value::Null();
+Status InlineMapping::AddRoot(const ParsedRef& ref, unsigned need,
+                              std::vector<ExpNode>* arena) const {
+  ExpNode node;
+  ASSIGN_OR_RETURN(node.slot, SlotAt(ref));
+  node.ref = ref;
+  node.ref.attr.clear();
+  node.need = need;
+  arena->push_back(std::move(node));
+  return Status::OK();
+}
+
+Result<std::vector<size_t>> InlineMapping::ExpandLevel(
+    rdb::Database* db, DocId doc, std::vector<ExpNode>* arena,
+    const std::vector<size_t>& frontier, const std::string& name_test) const {
+  auto wanted = [&](const std::string& type) {
+    return name_test == "*" || type == name_test;
   };
+  struct Hit {
+    int64_t seq;
+    const Slot* slot;
+    ParsedRef ref;
+  };
+  // Children found for frontier[k], in any order until sorted below.
+  std::vector<std::vector<Hit>> hits(frontier.size());
+  std::map<std::string, std::vector<size_t>> by_table;  // -> frontier positions
+  for (size_t k = 0; k < frontier.size(); ++k) {
+    by_table[(*arena)[frontier[k]].ref.table].push_back(k);
+  }
+  const std::string ctx = ScratchName("_inl_ctx");
 
-  for (const auto& child : se.children) {
-    const Storage& cst = storage_.at(child.name);
-    if (cst.is_table) {
+  for (const auto& [table, group] : by_table) {
+    std::map<std::string, size_t> cols;  // -> result column
+    std::map<std::string, const Slot*> child_tables;
+    std::vector<int64_t> row_ids;
+    for (size_t k : group) {
+      const ExpNode& n = (*arena)[frontier[k]];
+      row_ids.push_back(n.ref.row_id);
+      if ((n.need & kText) != 0 && !n.slot->text_col.empty()) {
+        cols.emplace(n.slot->text_col, 0);
+      }
+      if ((n.need & kAttrs) != 0) {
+        for (const auto& [name, col] : n.slot->attrs) cols.emplace(col, 0);
+      }
+      if ((n.need & kChildren) != 0) {
+        for (const auto& in : n.slot->inlined) {
+          if (!wanted(in.slot->type)) continue;
+          cols.emplace(in.ex_col, 0);
+          cols.emplace(in.seq_col, 0);
+        }
+        for (const auto& tab : n.slot->tabled) {
+          if (wanted(tab.slot->type)) {
+            child_tables.emplace(tab.table, tab.slot);
+          }
+        }
+      }
+    }
+    if (cols.empty() && child_tables.empty()) continue;
+    std::sort(row_ids.begin(), row_ids.end());
+    row_ids.erase(std::unique(row_ids.begin(), row_ids.end()), row_ids.end());
+    NodeSet ids(row_ids.begin(), row_ids.end());
+    RETURN_IF_ERROR(LoadContextTable(db, ctx, DataType::kInt, ids));
+
+    if (!cols.empty()) {
+      // The host rows, one join for the whole group.
+      std::string sql = "SELECT t.id";
+      size_t next_col = 1;
+      for (auto& [c, index] : cols) {
+        sql += ", t." + c;
+        index = next_col++;
+      }
+      sql += " FROM " + ctx + " c JOIN " + table +
+             " t ON t.id = c.id WHERE t.docid = ?";
+      ASSIGN_OR_RETURN(QueryResult r, ExecPrepared(db, sql, {DV(doc)}));
+      std::unordered_map<int64_t, const rdb::Row*> rows;
+      for (const rdb::Row& row : r.rows) rows[row[0].AsInt()] = &row;
+      auto col = [&](const rdb::Row& row,
+                     const std::string& name) -> const Value& {
+        return row[cols.at(name)];
+      };
+      for (size_t k : group) {
+        ExpNode& n = (*arena)[frontier[k]];
+        auto it = rows.find(n.ref.row_id);
+        if (it == rows.end()) {
+          return Status::NotFound("inline row " + table + "|" +
+                                  std::to_string(n.ref.row_id));
+        }
+        const rdb::Row& row = *it->second;
+        if ((n.need & kText) != 0 && !n.slot->text_col.empty()) {
+          const Value& tx = col(row, n.slot->text_col);
+          if (!tx.is_null()) n.text = tx.AsString();
+        }
+        if ((n.need & kAttrs) != 0) {
+          for (const auto& [name, c] : n.slot->attrs) {
+            const Value& av = col(row, c);
+            if (!av.is_null()) n.attrs.emplace_back(name, av.AsString());
+          }
+        }
+        if ((n.need & kChildren) != 0) {
+          for (const auto& in : n.slot->inlined) {
+            if (!wanted(in.slot->type)) continue;
+            const Value& ex = col(row, in.ex_col);
+            if (ex.is_null() || !ex.AsBool()) continue;
+            const Value& seq = col(row, in.seq_col);
+            hits[k].push_back({seq.is_null() ? 0 : seq.AsInt(), in.slot,
+                               ParsedRef{table, n.ref.row_id, in.path, ""}});
+          }
+        }
+      }
+    }
+
+    if (child_tables.empty()) continue;
+    // Child rows point at their parent by (pid = host row id, ppath = inline
+    // path of the parent inside that row).
+    std::map<std::pair<int64_t, std::string_view>, std::vector<size_t>> parents;
+    for (size_t k : group) {
+      const ExpNode& n = (*arena)[frontier[k]];
+      if ((n.need & kChildren) != 0) {
+        parents[{n.ref.row_id, n.ref.path}].push_back(k);
+      }
+    }
+    for (const auto& [child_table, child_slot] : child_tables) {
       ASSIGN_OR_RETURN(
           QueryResult r,
           ExecPrepared(db,
-                       "SELECT id, seq FROM " + cst.table +
-                           " WHERE docid = ? AND pid = ? AND ppath = ? "
-                           "ORDER BY seq",
-                       {DV(doc), Value(ref.row_id), Value(ref.path)}));
-      for (auto& rr : r.rows) {
-        hits.push_back({rr[1].AsInt(), child.name,
-                        MakeRef(cst.table, rr[0].AsInt(), "")});
-      }
-    } else {
-      Value ex = col_value("c_" + cst.path + "_ex");
-      if (!ex.is_null() && ex.AsBool()) {
-        Value seq = col_value("c_" + cst.path + "_seq");
-        hits.push_back({seq.is_null() ? 0 : seq.AsInt(), child.name,
-                        MakeRef(ref.table, ref.row_id, cst.path)});
+                       "SELECT t.pid, t.ppath, t.id, t.seq FROM " + ctx +
+                           " c JOIN " + child_table +
+                           " t ON t.pid = c.id WHERE t.docid = ?",
+                       {DV(doc)}));
+      for (const rdb::Row& row : r.rows) {
+        std::string_view ppath =
+            row[1].is_null() ? std::string_view() : row[1].AsString();
+        auto it = parents.find({row[0].AsInt(), ppath});
+        if (it == parents.end()) continue;
+        for (size_t k : it->second) {
+          hits[k].push_back({row[3].AsInt(), child_slot,
+                             ParsedRef{child_table, row[2].AsInt(), "", ""}});
+        }
       }
     }
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const ChildHit& a, const ChildHit& b) { return a.seq < b.seq; });
-  return hits;
+
+  std::vector<size_t> next;
+  for (size_t k = 0; k < frontier.size(); ++k) {
+    std::sort(hits[k].begin(), hits[k].end(),
+              [](const Hit& a, const Hit& b) { return a.seq < b.seq; });
+    const unsigned need = (*arena)[frontier[k]].need;
+    for (Hit& h : hits[k]) {
+      ExpNode child;
+      child.slot = h.slot;
+      child.ref = std::move(h.ref);
+      child.need = need;
+      child.seq = h.seq;
+      (*arena)[frontier[k]].children.push_back(arena->size());
+      next.push_back(arena->size());
+      arena->push_back(std::move(child));
+    }
+  }
+  return next;
 }
+
+Status InlineMapping::ExpandAll(rdb::Database* db, DocId doc,
+                                std::vector<ExpNode>* arena,
+                                std::vector<size_t> frontier) const {
+  while (!frontier.empty()) {
+    ASSIGN_OR_RETURN(frontier, ExpandLevel(db, doc, arena, frontier, "*"));
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Query primitives over the expansion
+// ---------------------------------------------------------------------------
 
 Result<std::vector<StepResult>> InlineMapping::Step(
     rdb::Database* db, DocId doc, const NodeSet& context, xpath::Axis axis,
     const std::string& name_test) const {
-  std::vector<StepResult> out;
-  for (const Value& ctx : context) {
-    ASSIGN_OR_RETURN(ParsedRef ref, ParseRef(ctx));
+  const unsigned need = axis == xpath::Axis::kAttribute ? kAttrs : kChildren;
+  std::vector<ExpNode> arena;
+  std::vector<size_t> roots;   // arena index per expanded context
+  std::vector<size_t> origin;  // context index per root
+  for (size_t i = 0; i < context.size(); ++i) {
+    ASSIGN_OR_RETURN(ParsedRef ref, ParseRef(context[i]));
     if (!ref.attr.empty()) continue;  // attributes have no children
-    switch (axis) {
-      case xpath::Axis::kChild: {
-        ASSIGN_OR_RETURN(std::vector<ChildHit> hits, ChildrenOf(db, doc, ref));
-        for (const auto& h : hits) {
-          if (name_test == "*" || h.name == name_test) {
-            out.push_back({ctx, h.ref});
-          }
-        }
-        break;
+    roots.push_back(arena.size());
+    origin.push_back(i);
+    RETURN_IF_ERROR(AddRoot(ref, need, &arena));
+  }
+  if (axis == xpath::Axis::kDescendant) {
+    RETURN_IF_ERROR(ExpandAll(db, doc, &arena, roots));
+  } else {
+    // Only the children the name test keeps: no other child table is read.
+    RETURN_IF_ERROR(ExpandLevel(db, doc, &arena, roots, name_test).status());
+  }
+
+  auto matches = [&](const std::string& name) {
+    return name_test == "*" || name == name_test;
+  };
+  std::vector<StepResult> out;
+  for (size_t r = 0; r < roots.size(); ++r) {
+    const Value& ctx = context[origin[r]];
+    const ExpNode& root = arena[roots[r]];
+    if (axis == xpath::Axis::kAttribute) {
+      for (const auto& [name, value] : root.attrs) {
+        if (!matches(name)) continue;
+        out.push_back({ctx, Value(root.ref.table + "|" +
+                                  std::to_string(root.ref.row_id) + "|" +
+                                  root.ref.path + "|@" + name)});
       }
-      case xpath::Axis::kDescendant: {
-        // BFS through ChildrenOf.
-        std::vector<ParsedRef> frontier{ref};
-        while (!frontier.empty()) {
-          std::vector<ParsedRef> next;
-          for (const ParsedRef& f : frontier) {
-            ASSIGN_OR_RETURN(std::vector<ChildHit> hits, ChildrenOf(db, doc, f));
-            for (const auto& h : hits) {
-              if (name_test == "*" || h.name == name_test) {
-                out.push_back({ctx, h.ref});
-              }
-              ASSIGN_OR_RETURN(ParsedRef pr, ParseRef(h.ref));
-              next.push_back(std::move(pr));
-            }
-          }
-          frontier = std::move(next);
+      continue;
+    }
+    // Children, or (descendant axis) every level below the context in turn.
+    std::vector<size_t> level = root.children;
+    while (!level.empty()) {
+      std::vector<size_t> below;
+      for (size_t i : level) {
+        const ExpNode& n = arena[i];
+        if (matches(n.slot->type)) {
+          out.push_back({ctx, MakeRef(n.ref.table, n.ref.row_id, n.ref.path)});
         }
-        break;
-      }
-      case xpath::Axis::kAttribute: {
-        ASSIGN_OR_RETURN(std::string type, ElementTypeAt(ref));
-        const SimplifiedElement& se = sdtd_.elements.at(type);
-        if (se.attributes.empty()) break;
-        ASSIGN_OR_RETURN(
-            QueryResult row,
-            ExecPrepared(db,
-                         "SELECT * FROM " + ref.table +
-                             " WHERE docid = ? AND id = ?",
-                         {DV(doc), Value(ref.row_id)}));
-        if (row.rows.empty()) break;
-        std::string prefix = ColPrefix(ref.path);
-        for (const auto& ad : se.attributes) {
-          if (name_test != "*" && ad.name != name_test) continue;
-          std::string col = (prefix.empty() ? "at_" : prefix + "at_") +
-                            SanitizeName(ad.name);
-          auto idx = row.schema.TryIndexOf(col);
-          if (!idx.has_value() || row.rows[0][*idx].is_null()) continue;
-          out.push_back({ctx, Value(ref.table + "|" +
-                                    std::to_string(ref.row_id) + "|" + ref.path +
-                                    "|@" + ad.name)});
+        if (axis == xpath::Axis::kDescendant) {
+          below.insert(below.end(), n.children.begin(), n.children.end());
         }
-        break;
       }
+      level = std::move(below);
     }
   }
   return out;
@@ -547,96 +702,36 @@ Result<std::vector<StepResult>> InlineMapping::Step(
 
 Result<std::vector<std::string>> InlineMapping::StringValues(
     rdb::Database* db, DocId doc, const NodeSet& nodes) const {
-  std::vector<std::string> out;
-  out.reserve(nodes.size());
+  // Attributes read their column; elements read their subtree's text.
+  std::vector<ExpNode> arena;
+  std::vector<std::string> attr_names;
   for (const Value& v : nodes) {
     ASSIGN_OR_RETURN(ParsedRef ref, ParseRef(v));
-    ASSIGN_OR_RETURN(
-        QueryResult row,
-        ExecPrepared(db,
-                     "SELECT * FROM " + ref.table +
-                         " WHERE docid = ? AND id = ?",
-                     {DV(doc), Value(ref.row_id)}));
-    if (row.rows.empty()) return Status::NotFound("inline row");
-    auto col_value = [&](const std::string& name) -> Value {
-      auto idx = row.schema.TryIndexOf(name);
-      return idx.has_value() ? row.rows[0][*idx] : Value::Null();
-    };
-    std::string prefix = ColPrefix(ref.path);
-    if (!ref.attr.empty()) {
-      Value av = col_value((prefix.empty() ? "at_" : prefix + "at_") +
-                           SanitizeName(ref.attr));
-      out.push_back(av.is_null() ? "" : av.AsString());
+    attr_names.push_back(ref.attr);
+    RETURN_IF_ERROR(
+        AddRoot(ref, ref.attr.empty() ? kText | kChildren : kAttrs, &arena));
+  }
+  std::vector<size_t> roots(arena.size());
+  for (size_t i = 0; i < roots.size(); ++i) roots[i] = i;
+  RETURN_IF_ERROR(ExpandAll(db, doc, &arena, std::move(roots)));
+
+  // Own text, then each child's string value in seq order.
+  std::function<void(size_t, std::string*)> collect = [&](size_t i,
+                                                          std::string* acc) {
+    acc->append(arena[i].text);
+    for (size_t c : arena[i].children) collect(c, acc);
+  };
+  std::vector<std::string> out(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (attr_names[i].empty()) {
+      collect(i, &out[i]);
       continue;
     }
-    // Element: own text plus descendants' text in sequence order.
-    struct Collector {
-      const InlineMapping* m;
-      rdb::Database* db;
-      DocId doc;
-      Status Collect(const ParsedRef& r, std::string* acc) {
-        ASSIGN_OR_RETURN(
-            QueryResult row,
-            ExecPrepared(db,
-                         "SELECT * FROM " + r.table +
-                             " WHERE docid = ? AND id = ?",
-                         {DV(doc), Value(r.row_id)}));
-        if (row.rows.empty()) return Status::OK();
-        std::string prefix = ColPrefix(r.path);
-        auto idx = row.schema.TryIndexOf(prefix.empty() ? "tx" : prefix + "tx");
-        if (idx.has_value() && !row.rows[0][*idx].is_null()) {
-          acc->append(row.rows[0][*idx].AsString());
-        }
-        ASSIGN_OR_RETURN(std::vector<ChildHit> hits, m->ChildrenOf(db, doc, r));
-        for (const auto& h : hits) {
-          ASSIGN_OR_RETURN(ParsedRef cr, m->ParseRef(h.ref));
-          RETURN_IF_ERROR(Collect(cr, acc));
-        }
-        return Status::OK();
-      }
-    };
-    Collector c{this, db, doc};
-    std::string acc;
-    RETURN_IF_ERROR(c.Collect(ref, &acc));
-    out.push_back(std::move(acc));
+    for (const auto& [name, value] : arena[i].attrs) {
+      if (name == attr_names[i]) out[i] = value;
+    }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Reconstruction
-// ---------------------------------------------------------------------------
-
-Status InlineMapping::ReconstructInto(rdb::Database* db, DocId doc,
-                                      const ParsedRef& ref,
-                                      xml::Node* out) const {
-  ASSIGN_OR_RETURN(std::string type, ElementTypeAt(ref));
-  const SimplifiedElement& se = sdtd_.elements.at(type);
-  ASSIGN_OR_RETURN(
-      QueryResult row,
-      ExecPrepared(db,
-                   "SELECT * FROM " + ref.table + " WHERE docid = ? AND id = ?",
-                   {DV(doc), Value(ref.row_id)}));
-  if (row.rows.empty()) return Status::NotFound("inline row");
-  auto col_value = [&](const std::string& name) -> Value {
-    auto idx = row.schema.TryIndexOf(name);
-    return idx.has_value() ? row.rows[0][*idx] : Value::Null();
-  };
-  std::string prefix = ColPrefix(ref.path);
-  for (const auto& ad : se.attributes) {
-    Value av = col_value((prefix.empty() ? "at_" : prefix + "at_") +
-                         SanitizeName(ad.name));
-    if (!av.is_null()) out->SetAttr(ad.name, av.AsString());
-  }
-  Value tx = col_value(prefix.empty() ? "tx" : prefix + "tx");
-  if (!tx.is_null() && !tx.AsString().empty()) out->AddText(tx.AsString());
-  ASSIGN_OR_RETURN(std::vector<ChildHit> hits, ChildrenOf(db, doc, ref));
-  for (const auto& h : hits) {
-    xml::Node* child = out->AddElement(h.name);
-    ASSIGN_OR_RETURN(ParsedRef cr, ParseRef(h.ref));
-    RETURN_IF_ERROR(ReconstructInto(db, doc, cr, child));
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<xml::Node>> InlineMapping::ReconstructSubtree(
@@ -648,9 +743,21 @@ Result<std::unique_ptr<xml::Node>> InlineMapping::ReconstructSubtree(
     return std::make_unique<xml::Node>(xml::NodeKind::kAttribute, ref.attr,
                                        vals[0]);
   }
-  ASSIGN_OR_RETURN(std::string type, ElementTypeAt(ref));
-  auto out = std::make_unique<xml::Node>(xml::NodeKind::kElement, type);
-  RETURN_IF_ERROR(ReconstructInto(db, doc, ref, out.get()));
+  std::vector<ExpNode> arena;
+  RETURN_IF_ERROR(AddRoot(ref, kText | kAttrs | kChildren, &arena));
+  RETURN_IF_ERROR(ExpandAll(db, doc, &arena, {0}));
+
+  // Attributes, then the (mixed-content) text, then the element children.
+  std::function<void(size_t, xml::Node*)> build = [&](size_t i,
+                                                      xml::Node* out) {
+    const ExpNode& n = arena[i];
+    for (const auto& [name, value] : n.attrs) out->SetAttr(name, value);
+    if (!n.text.empty()) out->AddText(n.text);
+    for (size_t c : n.children) build(c, out->AddElement(arena[c].slot->type));
+  };
+  auto out = std::make_unique<xml::Node>(xml::NodeKind::kElement,
+                                         arena[0].slot->type);
+  build(0, out.get());
   return out;
 }
 
@@ -687,17 +794,15 @@ Status InlineMapping::DeleteSubtreeImpl(rdb::Database* db, DocId doc,
   if (!ref.attr.empty()) {
     return Status::InvalidArgument("cannot delete an attribute as a subtree");
   }
+  ASSIGN_OR_RETURN(const Slot* slot, SlotAt(ref));
   if (ref.path.empty()) {
-    ASSIGN_OR_RETURN(std::string type, ElementTypeAt(ref));
-    if (type == root_name_) {
+    if (slot->type == root_name_) {
       return Status::InvalidArgument("cannot delete the root element");
     }
     return DeleteRowTree(db, doc, ref.table, ref.row_id);
   }
   // Inlined element: NULL its column group (and deeper prefixes), delete any
   // table rows hanging below it.
-  const std::string elem_type = path_element_.at({ref.table, ref.path});
-  (void)elem_type;
   // Table rows below: ppath equals ref.path or extends it.
   for (const auto& [elem, cols] : table_columns_) {
     (void)cols;
@@ -742,7 +847,8 @@ Status InlineMapping::InsertSubtreeImpl(rdb::Database* db, DocId doc,
   if (!ref.attr.empty()) {
     return Status::InvalidArgument("cannot insert under an attribute");
   }
-  ASSIGN_OR_RETURN(std::string ptype, ElementTypeAt(ref));
+  ASSIGN_OR_RETURN(const Slot* pslot, SlotAt(ref));
+  const std::string& ptype = pslot->type;
   const SimplifiedElement& pse = sdtd_.elements.at(ptype);
   bool allowed = false;
   for (const auto& c : pse.children) allowed = allowed || c.name == subtree.name();
@@ -762,12 +868,15 @@ Status InlineMapping::InsertSubtreeImpl(rdb::Database* db, DocId doc,
                                 {DV(doc)}));
   if (maxq.rows.empty()) return Status::NotFound("document " + D(doc));
   int64_t counter = maxq.rows[0][0].AsInt() + 1;
-  // seq/ord: append after existing children.
-  ASSIGN_OR_RETURN(std::vector<ChildHit> hits, ChildrenOf(db, doc, ref));
-  int64_t seq = hits.empty() ? 1 : hits.back().seq + 1;
+  // seq/ord: append after the existing children.
+  std::vector<ExpNode> arena;
+  RETURN_IF_ERROR(AddRoot(ref, kChildren, &arena));
+  ASSIGN_OR_RETURN(std::vector<size_t> children,
+                   ExpandLevel(db, doc, &arena, {0}, "*"));
+  int64_t seq = children.empty() ? 1 : arena[children.back()].seq + 1;
   int64_t ord = 1;
-  for (const auto& h : hits) {
-    if (h.name == subtree.name()) ++ord;
+  for (size_t c : children) {
+    if (arena[c].slot->type == subtree.name()) ++ord;
   }
   RETURN_IF_ERROR(StoreElement(subtree, doc, &counter, nullptr, "", ref.row_id,
                                ref.path, seq, ord, db));

@@ -19,6 +19,18 @@
 // Node ids are strings "<table>|<row id>|<inline path>" (elements) and
 // "<table>|<row id>|<inline path>|@<name>" (attributes).
 //
+// Navigation is set-at-a-time. Step, StringValues, ReconstructSubtree and
+// InsertSubtree all run one routine, ExpandLevel, which expands a whole list
+// of elements by one tree level: it groups them by host table, loads their
+// row ids into a per-thread context table, fetches the host rows in one join
+// (projecting only the text, attribute and child-presence columns asked for)
+// and each candidate child table in one join on pid, then matches
+// (pid, ppath) in memory. The descendant axis, string values and
+// reconstruction repeat it level by level, so the statement count follows
+// the depth of the subtrees and the number of tables, not the number of
+// nodes. Children come in seq order, so results keep sibling order; the
+// descendant axis lists each context's descendants level by level.
+//
 // Documented limitations (inherent to schema-driven shredding, and matching
 // the original paper's data-centric target):
 //  * documents must conform to the (simplified) DTD;
@@ -110,8 +122,26 @@ class InlineMapping : public Mapping {
   static rdb::Value MakeRef(const std::string& table, int64_t row_id,
                             const std::string& path);
 
-  /// Element type name at a parsed position.
-  Result<std::string> ElementTypeAt(const ParsedRef& ref) const;
+  /// What the element at one (host table, inline path) position reads from
+  /// its host row, and where its children live.
+  struct Slot {
+    std::string type;      ///< element type
+    std::string text_col;  ///< "" = no text column
+    std::vector<std::pair<std::string, std::string>> attrs;  ///< (name, column)
+    struct Inlined {
+      std::string path, ex_col, seq_col;
+      const Slot* slot = nullptr;  ///< the child's own slot
+    };
+    struct Tabled {
+      std::string table;
+      const Slot* slot = nullptr;
+    };
+    std::vector<Inlined> inlined;  ///< children stored in the host row
+    std::vector<Tabled> tabled;    ///< children with a table of their own
+  };
+
+  /// The slot of the element a parsed ref names.
+  Result<const Slot*> SlotAt(const ParsedRef& ref) const;
 
   /// Column name fragments.
   static std::string ColPrefix(const std::string& path);  // "" or "c_<path>_"
@@ -122,17 +152,34 @@ class InlineMapping : public Mapping {
                       const std::string& ppath, int64_t seq, int64_t ord,
                       rdb::Database* db);
 
-  /// One logical child position (merged, seq-ordered) of a context element.
-  struct ChildHit {
-    int64_t seq;
-    std::string name;
-    rdb::Value ref;
-  };
-  Result<std::vector<ChildHit>> ChildrenOf(rdb::Database* db, DocId doc,
-                                           const ParsedRef& ref) const;
+  /// What ExpandLevel reads for one node.
+  enum Need : unsigned { kText = 1, kAttrs = 2, kChildren = 4 };
 
-  Status ReconstructInto(rdb::Database* db, DocId doc, const ParsedRef& ref,
-                         xml::Node* out) const;
+  /// One element of a level-wise expansion; children inherit `need`.
+  struct ExpNode {
+    ParsedRef ref;
+    const Slot* slot = nullptr;
+    unsigned need = 0;
+    int64_t seq = 0;
+    std::string text;                                        ///< kText
+    /// kAttrs: (name, value) of the attributes present.
+    std::vector<std::pair<std::string, std::string>> attrs;
+    std::vector<size_t> children;  ///< kChildren: arena indices, seq order
+  };
+
+  /// Reads what every `frontier` node of `arena` needs and appends its
+  /// children named `name_test` ("*" = all) to `arena` in seq order. Returns
+  /// the appended nodes (the next level), grouped by parent in frontier
+  /// order.
+  Result<std::vector<size_t>> ExpandLevel(
+      rdb::Database* db, DocId doc, std::vector<ExpNode>* arena,
+      const std::vector<size_t>& frontier, const std::string& name_test) const;
+  /// ExpandLevel from `frontier` down to the leaves.
+  Status ExpandAll(rdb::Database* db, DocId doc, std::vector<ExpNode>* arena,
+                   std::vector<size_t> frontier) const;
+  /// Appends a root node for an element ref to `arena`.
+  Status AddRoot(const ParsedRef& ref, unsigned need,
+                 std::vector<ExpNode>* arena) const;
 
   Status DeleteRowTree(rdb::Database* db, DocId doc, const std::string& table,
                        int64_t row_id) const;
@@ -143,8 +190,8 @@ class InlineMapping : public Mapping {
   std::map<std::string, Storage> storage_;
   /// table name -> element type it hosts
   std::map<std::string, std::string> table_element_;
-  /// (table, path) -> element type (path "" = the table element itself)
-  std::map<std::pair<std::string, std::string>, std::string> path_element_;
+  /// (table, path) -> slot (path "" = the table element itself)
+  std::map<std::pair<std::string, std::string>, Slot> slots_;
   /// element type -> CREATE TABLE column list (only table elements)
   std::map<std::string, std::vector<rdb::Column>> table_columns_;
 };

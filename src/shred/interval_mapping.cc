@@ -13,6 +13,7 @@ using rdb::Value;
 
 namespace {
 std::string Ctx() { return ScratchName("_iv_ctx"); }
+std::string Frontier() { return ScratchName("_iv_frontier"); }
 
 std::string D(DocId doc) { return std::to_string(doc); }
 Value DV(DocId doc) { return Value(static_cast<int64_t>(doc)); }
@@ -281,30 +282,63 @@ Result<std::vector<std::string>> IntervalMapping::StringValues(
     rdb::Database* db, DocId doc, const NodeSet& nodes) const {
   std::vector<std::string> out(nodes.size());
   if (nodes.empty()) return out;
-  ASSIGN_OR_RETURN(std::vector<NodeInfo> info, FetchInfo(db, doc, nodes));
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeInfo& ni = info[i];
-    // Own row first: attributes and text nodes carry their value directly.
-    ASSIGN_OR_RETURN(QueryResult self,
-                     ExecPrepared(db,
-                                  "SELECT kind, value FROM iv_nodes "
-                                  "WHERE docid = ? AND pre = ?",
-                                  {DV(doc), NV(ni.pre)}));
-    if (self.rows.empty()) continue;
-    const std::string& kind = self.rows[0][0].AsString();
-    if (kind != "elem") {
-      out[i] = self.rows[0][1].is_null() ? "" : self.rows[0][1].AsString();
+  // 1. Every node's own row in one join: attributes and text nodes carry
+  // their value directly, elements their subtree size.
+  RETURN_IF_ERROR(LoadContextTable(db, Ctx(), DataType::kInt, nodes));
+  ASSIGN_OR_RETURN(QueryResult self,
+                   ExecPrepared(db,
+                                "SELECT c.id, n.size, n.kind, n.value FROM " +
+                                    Ctx() +
+                                    " c JOIN iv_nodes n ON n.pre = c.id "
+                                    "WHERE n.docid = ?",
+                                {DV(doc)}));
+  std::unordered_map<int64_t, const rdb::Row*> own;
+  for (const rdb::Row& row : self.rows) own[row[0].AsInt()] = &row;
+
+  // 2. An element's text is the text rows of its subtree, the pre range
+  // (pre, pre + size]. Enumerate every range as (origin, pre) pairs and
+  // join them against iv_pre in one statement: the join seeks exactly the
+  // rows the range scans would read.
+  std::vector<std::pair<Value, Value>> ranges;
+  std::unordered_map<int64_t, std::string> text;  // element pre -> its text
+  for (const Value& v : nodes) {
+    auto it = own.find(v.AsInt());
+    if (it == own.end()) {
+      return Status::NotFound("interval node pre=" + v.ToString());
+    }
+    const rdb::Row& row = *it->second;
+    if (row[2].AsString() != "elem" || !text.emplace(v.AsInt(), "").second) {
       continue;
     }
-    if (ni.size == 0) continue;
-    ASSIGN_OR_RETURN(
-        QueryResult r,
-        ExecPrepared(db,
-                     "SELECT value FROM iv_nodes WHERE docid = ? AND "
-                     "pre > ? AND pre <= ? AND kind = 'text' ORDER BY pre",
-                     {DV(doc), NV(ni.pre), NV(ni.pre + ni.size)}));
-    for (auto& row : r.rows) {
-      if (!row[0].is_null()) out[i] += row[0].AsString();
+    for (int64_t k = 1; k <= row[1].AsInt(); ++k) {
+      ranges.emplace_back(v, NV(v.AsInt() + k));
+    }
+  }
+  if (!ranges.empty()) {
+    RETURN_IF_ERROR(LoadFrontierTable(db, Frontier(), DataType::kInt, ranges));
+    ASSIGN_OR_RETURN(QueryResult r,
+                     ExecPrepared(db,
+                                  "SELECT f.origin, n.pre, n.value FROM " +
+                                      Frontier() +
+                                      " f JOIN iv_nodes n ON n.pre = f.id "
+                                      "WHERE n.docid = ? AND n.kind = 'text'",
+                                  {DV(doc)}));
+    std::sort(r.rows.begin(), r.rows.end(),
+              [](const rdb::Row& a, const rdb::Row& b) {
+                return a[0].AsInt() != b[0].AsInt()
+                           ? a[0].AsInt() < b[0].AsInt()
+                           : a[1].AsInt() < b[1].AsInt();
+              });
+    for (const rdb::Row& row : r.rows) {
+      if (!row[2].is_null()) text[row[0].AsInt()] += row[2].AsString();
+    }
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const rdb::Row& row = *own.at(nodes[i].AsInt());
+    if (row[2].AsString() == "elem") {
+      out[i] = text.at(nodes[i].AsInt());
+    } else if (!row[3].is_null()) {
+      out[i] = row[3].AsString();
     }
   }
   return out;

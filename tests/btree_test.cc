@@ -3,6 +3,7 @@
 
 #include "rdb/btree.h"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -163,6 +164,69 @@ TEST_P(BTreeFanoutTest, DifferentialAgainstStdSet) {
       EXPECT_EQ(tit.key()[0].AsInt(), *oit);
     }
   }
+}
+
+// Composite (a, b) keys whose a-groups each span several leaves, with gaps
+// between groups: every one-column prefix seek, inclusive and exclusive,
+// must land where std::set says, also once lazy deletion has emptied whole
+// leaves.
+TEST_P(BTreeFanoutTest, CompositePrefixSeekAgainstStdSet) {
+  const int64_t fanout = static_cast<int64_t>(GetParam());
+  BTree t(GetParam());
+  std::set<std::pair<int64_t, int64_t>> oracle;
+  for (int64_t a = 0; a < 200; a += 10) {
+    for (int64_t b = 0; b < 3 * fanout; ++b) {
+      ASSERT_TRUE(t.Insert(K2(a, b)));
+      oracle.insert({a, b});
+    }
+  }
+  ASSERT_GT(t.height(), 1u);
+
+  // The first key at or after `bound` (a one- or two-column prefix): the
+  // oracle's answer, then the tree's, compared over the rest of the keys.
+  auto check = [&](const Row& bound, bool inclusive) {
+    auto first = std::find_if(oracle.begin(), oracle.end(), [&](const auto& k) {
+      int c = PrefixCompareRows(K2(k.first, k.second), bound);
+      return c > 0 || (inclusive && c == 0);
+    });
+    auto it = t.SeekAtLeast(bound, inclusive);
+    for (auto o = first; o != oracle.end(); ++o, it.Next()) {
+      ASSERT_TRUE(it.Valid())
+          << RowToString(bound) << " inclusive=" << inclusive;
+      ASSERT_EQ(it.key()[0].AsInt(), o->first) << RowToString(bound);
+      ASSERT_EQ(it.key()[1].AsInt(), o->second) << RowToString(bound);
+    }
+    EXPECT_FALSE(it.Valid()) << RowToString(bound);
+  };
+  auto check_all = [&]() {
+    // Below the minimum, on and between every group, above the maximum.
+    for (int64_t a = -15; a <= 215; a += 5) {
+      check(K(a), true);
+      check(K(a), false);
+    }
+    for (int64_t a : {50, 100, 190}) {
+      for (int64_t b : {int64_t{-1}, int64_t{0}, fanout, 3 * fanout}) {
+        check(K2(a, b), true);
+        check(K2(a, b), false);
+      }
+    }
+  };
+  check_all();
+
+  // Lazy deletion: whole leaves go empty in the middle of a group (50), a
+  // whole group goes (100), and so do the first and last groups.
+  auto erase = [&](int64_t a, int64_t from, int64_t to) {
+    for (int64_t b = from; b < to; ++b) {
+      ASSERT_TRUE(t.Erase(K2(a, b)));
+      oracle.erase({a, b});
+    }
+  };
+  erase(50, 0, 2 * fanout);
+  erase(100, 0, 3 * fanout);
+  erase(0, 0, 3 * fanout);
+  erase(190, 0, 3 * fanout);
+  ASSERT_TRUE(t.CheckInvariants().ok());
+  check_all();
 }
 
 INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeFanoutTest,

@@ -88,6 +88,33 @@ TEST(DeweyEncodingTest, InsertSubtreeFailsOnCorruptStoredLabel) {
       << status.ToString();
 }
 
+// Steps take a context's level from its label instead of a lookup, so the
+// label's component count must equal the stored level column.
+TEST(DeweyEncodingTest, LevelIsTheComponentCount) {
+  EXPECT_EQ(DeweyLevel(DeweyComponent(1)), 1);
+  EXPECT_EQ(DeweyLevel(DeweyChild(DeweyChild("000001", 3), 1000000)), 3);
+  DeweyMapping m;
+  rdb::Database db;
+  ASSERT_TRUE(m.Initialize(&db).ok());
+  auto doc = xml::Parse(
+      "<a x=\"1\">t<b y=\"2\"><c>u</c><c/></b>v<b><c><d>w</d></c></b></a>");
+  ASSERT_TRUE(doc.ok());
+  auto id = m.Store(*doc.value(), &db);
+  ASSERT_TRUE(id.ok());
+  auto frag = xml::ParseFragment("<e><f>z</f></e>");
+  ASSERT_TRUE(frag.ok());
+  ASSERT_TRUE(m.InsertSubtree(&db, id.value(), rdb::Value("000001.000003"),
+                              *frag.value())
+                  .ok());
+  auto r = db.Execute("SELECT dewey, level FROM dw_nodes");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GT(r.value().rows.size(), 10u);
+  for (const rdb::Row& row : r.value().rows) {
+    EXPECT_EQ(DeweyLevel(row[0].AsString()), row[1].AsInt())
+        << row[0].AsString();
+  }
+}
+
 TEST(DeweyEncodingTest, WideComponentsKeepSubtreeRangeTight) {
   // Components never contain '.' or '/' and every character sorts above
   // '/', so the [d + ".", d + "/") subtree range still works.
