@@ -28,7 +28,7 @@ enum class StatusCode {
   kUnsupported,      ///< feature intentionally outside the implemented subset
   kConstraintError,  ///< schema constraint violated during DML
   kIoError,          ///< storage I/O failure (real or fault-injected)
-  kTxnError,         ///< transaction/snapshot conflict (e.g. schema changed
+  kTxnError,         ///< transaction/snapshot conflict (a table dropped
                      ///< under an open read snapshot); retryable
   kInternal,         ///< invariant breakage inside the engine
 };

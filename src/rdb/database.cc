@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <set>
 #include <sstream>
 
 #include "common/metrics.h"
@@ -24,19 +22,12 @@ ResourceGauge& StatementLogGauge() {
   return g;
 }
 
-bool SnapshotReadsFromEnv() {
-  const char* v = std::getenv("XMLRDB_MVCC");
-  if (v == nullptr) return true;
-  const std::string s(v);
-  return !(s == "off" || s == "OFF" || s == "0" || s == "false");
-}
-
 /// The innermost owning ReadSnapshot pin on this thread.
 thread_local const ReadSnapshot* tls_pinned_snapshot = nullptr;
 
 }  // namespace
 
-Database::Database() { snapshot_reads_ = SnapshotReadsFromEnv(); }
+Database::Database() = default;
 
 Database::~Database() { StopVersionGc(); }
 
@@ -44,11 +35,13 @@ Database::~Database() { StopVersionGc(); }
 // ReadSnapshot: a thread-pinned multi-statement snapshot.
 
 ReadSnapshot::ReadSnapshot(const Database* db) {
-  if (db == nullptr || !db->snapshot_reads_enabled()) return;
+  if (db == nullptr) return;
   if (tls_pinned_snapshot != nullptr) return;  // nested: the outer pin wins
+  // Drop count before the snapshot: a DROP landing in between then fails
+  // the pin's statements (spurious but safe) instead of going unnoticed.
+  drops_at_acquire_ = db->table_drops_.load(std::memory_order_acquire);
   snap_.emplace();
   lsn_ = snap_->lsn();
-  base_version_ = db->base_schema_version();
   db_ = db;
   tls_pinned_snapshot = this;
 }
@@ -159,7 +152,6 @@ Result<Table*> Database::CreateTableLocked(const std::string& name,
   if (durable) out->set_mutation_sink(wal_.get());
   tables_[name] = std::move(table);
   BumpSchemaVersion();
-  if (!transient) BumpBaseSchemaVersion();
   return out;
 }
 
@@ -180,7 +172,9 @@ Status Database::DropTable(const std::string& name) {
   // Any cached plan may hold a pointer into the erased table; bumping the
   // version forces those plans to rebuild before their next execution.
   BumpSchemaVersion();
-  if (!IsTransientTableName(name)) BumpBaseSchemaVersion();
+  if (!IsTransientTableName(name)) {
+    table_drops_.fetch_add(1, std::memory_order_acq_rel);
+  }
   return Status::OK();
 }
 
@@ -295,44 +289,42 @@ void Database::StopVersionGc() {
 }
 
 // ---------------------------------------------------------------------------
-// Statement-scope table resolution: snapshot pinning (MVCC) or shared locks
-// (legacy mode).
+// Statement-scope table resolution for reads: catalog pins plus one MVCC
+// snapshot, no table locks.
 
-struct Database::ReadLockSet {
+struct Database::ReadTables {
   /// Distinct referenced tables, resolved under the catalog lock.
   std::map<std::string, const Table*> tables;
   /// Keep-alives for the catalog tables: a concurrent DROP TABLE erases the
   /// catalog entry but the objects (and their version chains) outlive the
   /// statement.
   std::vector<std::shared_ptr<const Table>> pins;
-  /// Materialized virtual-table snapshots, alive for statement scope. They
-  /// are statement-private, so they are never locked — and they must be
-  /// declared before `locks` so every lock releases before any table dies.
+  /// Materialized virtual-table snapshots, alive for statement scope.
   std::vector<std::unique_ptr<Table>> owned;
-  /// Shared locks on the catalog tables in map (= ascending name) order.
-  /// Empty in snapshot mode.
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  /// Snapshot mode only: the statement's own snapshot registration (absent
-  /// when reusing the thread's pinned ReadSnapshot), the read view, and its
-  /// installation for the statement's plan nodes to capture.
+  /// The statement's own snapshot registration (absent when reusing the
+  /// thread's pinned ReadSnapshot), the read view, and its installation for
+  /// the statement's plan nodes to capture.
   std::optional<MvccSnapshot> snapshot;
   MvccReadView view;
   std::optional<ScopedReadView> scoped;
-  bool snapshot_mode = false;
-  bool pinned = false;  ///< view.snapshot came from a ReadSnapshot pin
-  /// base_schema_version observed after snapshot acquisition. If it moves
-  /// before the plan is built, a freshly created index may lack entries for
-  /// rows this snapshot can still see — the caller re-acquires and replans
-  /// (or fails with kTxnError under a multi-statement pin).
-  int64_t base_at_acquire = 0;
 };
 
-Status Database::LockTablesShared(const std::vector<TableRef>& from,
-                                  ReadLockSet* out, int64_t* lock_wait_us,
-                                  bool force_locks) const {
+Status Database::ResolveReadTables(const std::vector<TableRef>& from,
+                                   ReadTables* out,
+                                   int64_t* lock_wait_us) const {
   Stopwatch wait;
   std::shared_lock<std::shared_mutex> catalog(mu_);
-  std::set<const Table*> ephemeral;
+  const ReadSnapshot* pin = ReadSnapshot::Current();
+  if (pin != nullptr && pin->db_ != this) pin = nullptr;
+  // New tables read empty at an older pin and new indexes cover every row
+  // version, but a table dropped since the pin (and perhaps re-created
+  // under the same name) would silently read as missing or empty.
+  if (pin != nullptr &&
+      pin->drops_at_acquire_ != table_drops_.load(std::memory_order_acquire)) {
+    return Status::TxnError(
+        "a table was dropped under the open read snapshot; re-acquire the "
+        "snapshot and retry");
+  }
   for (const TableRef& ref : from) {
     if (out->tables.count(ref.table) > 0) continue;
     const Table* t = nullptr;
@@ -343,63 +335,26 @@ Status Database::LockTablesShared(const std::vector<TableRef>& from,
     } else if (IsVirtualTableName(ref.table)) {
       std::unique_ptr<Table> snapshot = MaterializeVirtualTable(ref.table);
       t = snapshot.get();
-      ephemeral.insert(t);
       out->owned.push_back(std::move(snapshot));
     }
     if (t == nullptr) return Status::NotFound("table '" + ref.table + "'");
     out->tables.emplace(ref.table, t);
   }
-  if (snapshot_reads_ && !force_locks) {
-    // MVCC read path: no table locks. Reuse the thread's pinned snapshot if
-    // one is open (multi-statement consistency), else register a fresh one
-    // at the current visible LSN. An open transaction's own provisional
-    // stamps stay visible to its statements (read-your-own-writes).
-    out->snapshot_mode = true;
-    const ReadSnapshot* pin = ReadSnapshot::Current();
-    if (pin != nullptr && pin->db_ == this) {
-      if (pin->base_version_ != base_schema_version()) {
-        return Status::TxnError(
-            "schema changed under the open read snapshot (base-table DDL "
-            "committed after the snapshot was acquired); re-acquire the "
-            "snapshot and retry");
-      }
-      out->pinned = true;
-      out->view.snapshot = pin->lsn();
-    } else {
-      out->snapshot.emplace();
-      out->view.snapshot = out->snapshot->lsn();
-    }
-    out->base_at_acquire = base_schema_version();
-    out->view.own_txn = MvccTransaction::CurrentTxnId();
-    out->scoped.emplace(out->view);
+  // Reuse the thread's pinned snapshot if one is open (multi-statement
+  // consistency), else register a fresh one at the current visible LSN. An
+  // open transaction's own provisional stamps stay visible to its
+  // statements (read-your-own-writes).
+  if (pin != nullptr) {
+    out->view.snapshot = pin->lsn();
   } else {
-    out->locks.reserve(out->tables.size());
-    for (const auto& [name, t] : out->tables) {
-      // Virtual-table snapshots are statement-private: no lock needed (or
-      // wanted — their mutexes die with the statement).
-      if (ephemeral.count(t) > 0) continue;
-      out->locks.emplace_back(t->mutex());
-    }
+    out->snapshot.emplace();
+    out->view.snapshot = out->snapshot->lsn();
   }
+  out->view.own_txn = MvccTransaction::CurrentTxnId();
+  out->scoped.emplace(out->view);
   if (lock_wait_us != nullptr) {
     *lock_wait_us += static_cast<int64_t>(wait.ElapsedMicros());
   }
-  return Status::OK();
-}
-
-/// Post-planning snapshot check (see ReadLockSet::base_at_acquire). Sets
-/// *retry when the statement should re-resolve and replan.
-Status Database::RevalidateSnapshot(const ReadLockSet& locks,
-                                    bool* retry) const {
-  *retry = false;
-  if (!locks.snapshot_mode) return Status::OK();
-  if (base_schema_version() == locks.base_at_acquire) return Status::OK();
-  if (locks.pinned) {
-    return Status::TxnError(
-        "schema changed under the open read snapshot while planning; "
-        "re-acquire the snapshot and retry");
-  }
-  *retry = true;
   return Status::OK();
 }
 
@@ -426,7 +381,7 @@ Status Database::LockTableExclusive(const std::string& name, Table** table,
 
 // ---------------------------------------------------------------------------
 // Virtual tables: read-only snapshots of live engine state, materialized at
-// statement-lock time (under the shared catalog lock) and scanned through
+// table-resolve time (under the shared catalog lock) and scanned through
 // the normal planner like any base table.
 
 bool Database::IsVirtualTableName(const std::string& name) {
@@ -562,7 +517,7 @@ std::unique_ptr<Table> Database::MaterializeVirtualTable(
       }
     }
   }
-  // The snapshot is private until the statement's lock set publishes it to
+  // The snapshot is private until the statement's read set publishes it to
   // the planner, so fill it without touching its mutex: acquiring it here
   // would thread the ephemeral table into the lock-order graph for nothing.
   // It is also statement-private state, not shared data — no versioning.
@@ -575,12 +530,12 @@ std::unique_ptr<Table> Database::MaterializeVirtualTable(
   return table;
 }
 
-Result<PlanPtr> Database::PlanWithLocks(const SelectStmt& stmt,
-                                        const ReadLockSet& locks) const {
+Result<PlanPtr> Database::PlanWithTables(const SelectStmt& stmt,
+                                         const ReadTables& tables) const {
   Planner planner(
-      [&locks](const std::string& name) -> const Table* {
-        auto it = locks.tables.find(name);
-        return it == locks.tables.end() ? nullptr : it->second;
+      [&tables](const std::string& name) -> const Table* {
+        auto it = tables.tables.find(name);
+        return it == tables.tables.end() ? nullptr : it->second;
       },
       planner_options_);
   return planner.PlanSelect(stmt);
@@ -739,7 +694,10 @@ Result<QueryResult> Database::ExecutePrepared(PlanCacheEntry* entry,
       // Another thread is executing this exact statement right now. Rather
       // than serialize behind it (the AST, param block and plan are all
       // single-checkout state), fall back to a fresh uncached parse+plan.
-      if (reg.enabled()) reg.Add("sql.parsed", 1);
+      if (reg.enabled()) {
+        reg.Add("plancache.checkout_fallbacks", 1);
+        reg.Add("sql.parsed", 1);
+      }
       auto parsed_or = ParseSqlWithParams(entry->sql);
       if (!parsed_or.ok()) {
         result = parsed_or.status();
@@ -787,63 +745,45 @@ Result<QueryResult> Database::RunSelectPrepared(PlanCacheEntry* entry,
                                                 StatementExec* exec,
                                                 bool* cache_hit) {
   const SelectStmt& stmt = std::get<SelectStmt>(entry->parsed.stmt);
-  for (int attempt = 0;; ++attempt) {
-    *cache_hit = false;
-    ReadLockSet locks;
-    RETURN_IF_ERROR(LockTablesShared(stmt.from, &locks,
-                                     exec != nullptr ? &exec->lock_wait_us
-                                                     : nullptr,
-                                     /*force_locks=*/attempt >= 2));
-    // Validate the cached plan against the catalog generation: version
-    // equality proves no DDL ran since planning, so every Table/Index
-    // pointer baked into the plan names a table this statement has pinned
-    // (and the pins keep the objects alive past any later DROP).
-    const int64_t version = schema_version_.load(std::memory_order_acquire);
-    if (entry->plan == nullptr || entry->planned_version != version) {
-      if (entry->plan != nullptr) {
-        plan_cache_.RecordInvalidation();
-        MetricsRegistry& reg = MetricsRegistry::Global();
-        if (reg.enabled()) reg.Add("plancache.invalidations", 1);
-        entry->plan.reset();
-      }
-      ASSIGN_OR_RETURN(entry->plan, PlanWithLocks(stmt, locks));
-      entry->planned_version = version;
-    } else {
-      *cache_hit = true;
-      // Reuse: the per-statement consumers (FlushPlanMetrics, slow-query
-      // EXPLAIN ANALYZE) expect stats for this execution only.
-      entry->plan->ResetStats();
-    }
-    bool retry = false;
-    Status revalidate = RevalidateSnapshot(locks, &retry);
-    if (!revalidate.ok()) {
-      // Stale multi-statement snapshot: the cached plan now disagrees with
-      // the pinned state. Drop it so the retry (under a fresh snapshot)
-      // replans instead of reusing a pointer into the changed catalog.
+  ReadTables tables;
+  RETURN_IF_ERROR(ResolveReadTables(
+      stmt.from, &tables, exec != nullptr ? &exec->lock_wait_us : nullptr));
+  // Validate the cached plan against the catalog generation: version
+  // equality proves no DDL ran since planning, so every Table/Index pointer
+  // baked into the plan names a table this statement has pinned (and the
+  // pins keep the objects alive past any later DROP).
+  const int64_t version = schema_version_.load(std::memory_order_acquire);
+  if (entry->plan == nullptr || entry->planned_version != version) {
+    if (entry->plan != nullptr) {
+      plan_cache_.RecordInvalidation();
+      MetricsRegistry& reg = MetricsRegistry::Global();
+      if (reg.enabled()) reg.Add("plancache.invalidations", 1);
       entry->plan.reset();
-      return revalidate;
     }
-    if (retry) {
-      entry->plan.reset();
-      continue;
-    }
-    const bool capture_plan = slow_query_threshold_us() >= 0;
-    if (capture_plan) entry->plan->EnableAnalyze();
-    QueryResult out;
-    out.schema = entry->plan->output_schema();
-    auto rows_or = ExecutePlan(entry->plan.get());
-    if (!rows_or.ok()) {
-      // Don't trust a plan whose execution failed midway; rebuild next time.
-      entry->plan.reset();
-      return rows_or.status();
-    }
-    out.rows = std::move(rows_or.value());
-    FlushPlanMetrics(*entry->plan);
-    if (capture_plan && exec != nullptr) {
-      exec->analyzed_plan = entry->plan->ExplainAnalyze();
-    }
-    return out;
+    ASSIGN_OR_RETURN(entry->plan, PlanWithTables(stmt, tables));
+    entry->planned_version = version;
+  } else {
+    *cache_hit = true;
+    // Reuse: the per-statement consumers (FlushPlanMetrics, slow-query
+    // EXPLAIN ANALYZE) expect stats for this execution only.
+    entry->plan->ResetStats();
   }
+  const bool capture_plan = slow_query_threshold_us() >= 0;
+  if (capture_plan) entry->plan->EnableAnalyze();
+  QueryResult out;
+  out.schema = entry->plan->output_schema();
+  auto rows_or = ExecutePlan(entry->plan.get());
+  if (!rows_or.ok()) {
+    // Don't trust a plan whose execution failed midway; rebuild next time.
+    entry->plan.reset();
+    return rows_or.status();
+  }
+  out.rows = std::move(rows_or.value());
+  FlushPlanMetrics(*entry->plan);
+  if (capture_plan && exec != nullptr) {
+    exec->analyzed_plan = entry->plan->ExplainAnalyze();
+  }
+  return out;
 }
 
 Result<std::string> Database::ExplainPrepared(PlanCacheEntry* entry) {
@@ -852,10 +792,10 @@ Result<std::string> Database::ExplainPrepared(PlanCacheEntry* entry) {
     return Status::InvalidArgument("EXPLAIN requires a SELECT statement");
   }
   std::lock_guard<std::mutex> checkout(entry->exec_mu);
-  ReadLockSet locks;
-  RETURN_IF_ERROR(LockTablesShared(stmt->from, &locks));
+  ReadTables tables;
+  RETURN_IF_ERROR(ResolveReadTables(stmt->from, &tables));
   if (!entry->cache_plan) {
-    ASSIGN_OR_RETURN(PlanPtr plan, PlanWithLocks(*stmt, locks));
+    ASSIGN_OR_RETURN(PlanPtr plan, PlanWithTables(*stmt, tables));
     return plan->Explain();
   }
   const int64_t version = schema_version_.load(std::memory_order_acquire);
@@ -864,7 +804,7 @@ Result<std::string> Database::ExplainPrepared(PlanCacheEntry* entry) {
       plan_cache_.RecordInvalidation();
       entry->plan.reset();
     }
-    ASSIGN_OR_RETURN(entry->plan, PlanWithLocks(*stmt, locks));
+    ASSIGN_OR_RETURN(entry->plan, PlanWithTables(*stmt, tables));
     entry->planned_version = version;
   }
   return entry->plan->Explain();
@@ -886,9 +826,9 @@ Result<QueryResult> Database::Dispatch(const Statement& stmt,
 }
 
 Result<PlanPtr> Database::Plan(const SelectStmt& stmt) const {
-  ReadLockSet locks;
-  RETURN_IF_ERROR(LockTablesShared(stmt.from, &locks));
-  return PlanWithLocks(stmt, locks);
+  ReadTables tables;
+  RETURN_IF_ERROR(ResolveReadTables(stmt.from, &tables));
+  return PlanWithTables(stmt, tables);
 }
 
 Result<PlanPtr> Database::PlanSql(std::string_view select_sql) const {
@@ -900,58 +840,42 @@ Result<PlanPtr> Database::PlanSql(std::string_view select_sql) const {
 
 Result<QueryResult> Database::RunSelect(const SelectStmt& stmt,
                                         StatementExec* exec) {
-  // Attempt loop: a base-DDL commit racing the statement's fresh snapshot
-  // forces a re-acquire + replan; the final attempt falls back to shared
-  // table locks, which exclude DDL outright and always terminate.
-  for (int attempt = 0;; ++attempt) {
-    ReadLockSet locks;
-    RETURN_IF_ERROR(LockTablesShared(stmt.from, &locks,
-                                     exec != nullptr ? &exec->lock_wait_us
-                                                     : nullptr,
-                                     /*force_locks=*/attempt >= 2));
-    ASSIGN_OR_RETURN(PlanPtr plan, PlanWithLocks(stmt, locks));
-    bool retry = false;
-    RETURN_IF_ERROR(RevalidateSnapshot(locks, &retry));
-    if (retry) continue;
-    // Slow-query tracking: pay for per-operator timing up front so an
-    // offender can log the plan tree it actually ran with.
-    const bool capture_plan = slow_query_threshold_us() >= 0;
-    if (capture_plan) plan->EnableAnalyze();
-    QueryResult out;
-    out.schema = plan->output_schema();
-    ASSIGN_OR_RETURN(out.rows, ExecutePlan(plan.get()));
-    FlushPlanMetrics(*plan);
-    if (capture_plan && exec != nullptr) {
-      exec->analyzed_plan = plan->ExplainAnalyze();
-    }
-    return out;
+  ReadTables tables;
+  RETURN_IF_ERROR(ResolveReadTables(
+      stmt.from, &tables, exec != nullptr ? &exec->lock_wait_us : nullptr));
+  ASSIGN_OR_RETURN(PlanPtr plan, PlanWithTables(stmt, tables));
+  // Slow-query tracking: pay for per-operator timing up front so an
+  // offender can log the plan tree it actually ran with.
+  const bool capture_plan = slow_query_threshold_us() >= 0;
+  if (capture_plan) plan->EnableAnalyze();
+  QueryResult out;
+  out.schema = plan->output_schema();
+  ASSIGN_OR_RETURN(out.rows, ExecutePlan(plan.get()));
+  FlushPlanMetrics(*plan);
+  if (capture_plan && exec != nullptr) {
+    exec->analyzed_plan = plan->ExplainAnalyze();
   }
+  return out;
 }
 
 Result<QueryResult> Database::RunExplain(const ExplainStmt& stmt,
                                          StatementExec* exec) {
-  for (int attempt = 0;; ++attempt) {
-    ReadLockSet locks;
-    RETURN_IF_ERROR(LockTablesShared(stmt.select->from, &locks,
-                                     exec != nullptr ? &exec->lock_wait_us
-                                                     : nullptr,
-                                     /*force_locks=*/attempt >= 2));
-    ASSIGN_OR_RETURN(PlanPtr plan, PlanWithLocks(*stmt.select, locks));
-    bool retry = false;
-    RETURN_IF_ERROR(RevalidateSnapshot(locks, &retry));
-    if (retry) continue;
-    QueryResult out;
-    if (stmt.analyze) {
-      plan->EnableAnalyze();
-      ASSIGN_OR_RETURN(std::vector<Row> rows, ExecutePlan(plan.get()));
-      FlushPlanMetrics(*plan);
-      out.affected = static_cast<int64_t>(rows.size());
-      out.plan_text = plan->ExplainAnalyze();
-    } else {
-      out.plan_text = plan->Explain();
-    }
-    return out;
+  ReadTables tables;
+  RETURN_IF_ERROR(ResolveReadTables(
+      stmt.select->from, &tables,
+      exec != nullptr ? &exec->lock_wait_us : nullptr));
+  ASSIGN_OR_RETURN(PlanPtr plan, PlanWithTables(*stmt.select, tables));
+  QueryResult out;
+  if (stmt.analyze) {
+    plan->EnableAnalyze();
+    ASSIGN_OR_RETURN(std::vector<Row> rows, ExecutePlan(plan.get()));
+    FlushPlanMetrics(*plan);
+    out.affected = static_cast<int64_t>(rows.size());
+    out.plan_text = plan->ExplainAnalyze();
+  } else {
+    out.plan_text = plan->Explain();
   }
+  return out;
 }
 
 Result<QueryResult> Database::RunCreateTable(const CreateTableStmt& stmt) {
@@ -971,11 +895,9 @@ Result<QueryResult> Database::RunCreateIndex(const CreateIndexStmt& stmt,
                                                      : nullptr));
   RETURN_IF_ERROR(t->CreateIndexUnlocked(stmt.index, stmt.columns));
   // Cached plans were costed without this index; invalidate so the next
-  // prepared execution can switch its access path. The base bump also keeps
-  // pre-DDL snapshots off the index — its backfill only covered the rows
-  // live right now.
+  // prepared execution can switch its access path. Open snapshots may use
+  // the index at once: its back-fill covers every row version they see.
   BumpSchemaVersion();
-  if (!IsTransientTableName(stmt.table)) BumpBaseSchemaVersion();
   return QueryResult{};
 }
 

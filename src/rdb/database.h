@@ -12,13 +12,15 @@
 //     acquires a snapshot LSN from the MVCC engine (rdb/mvcc.h) and scans
 //     the row versions visible at that LSN, so readers never wait on
 //     writers and writers never wait on readers. A multi-statement scope
-//     can pin one snapshot across statements with rdb::ReadSnapshot; if
-//     base-table DDL lands while such a snapshot is open, its statements
-//     fail with kTxnError (re-acquire and retry).
-//   * INSERT / DELETE / UPDATE / CREATE INDEX still hold an exclusive lock
-//     on their single target table for the duration of the statement, so
-//     DML conflicts only with DML; the statement's row versions become
-//     visible to snapshots atomically at one commit LSN.
+//     can pin one snapshot across statements with rdb::ReadSnapshot.
+//     CREATE TABLE and CREATE INDEX never disturb an open snapshot: a new
+//     table's rows carry later stamps, and a new index is back-filled from
+//     every row version (Table::CreateIndex). Only a base-table DROP TABLE
+//     fails later statements under an open pin, with kTxnError.
+//   * INSERT / DELETE / UPDATE / CREATE INDEX hold an exclusive lock on
+//     their single target table for the duration of the statement, so DML
+//     conflicts only with DML; the statement's row versions become visible
+//     to snapshots atomically at one commit LSN.
 //   * DROP TABLE drains in-flight DML on the victim (acquire+release its
 //     exclusive lock under the exclusive catalog lock) before erasing it;
 //     in-flight readers keep the table alive through their catalog pins
@@ -26,8 +28,6 @@
 //   * Version garbage: old row versions unreachable by every live snapshot
 //     are reclaimed by CollectVersionGarbage() — run at checkpoint time and
 //     optionally by a background thread (StartVersionGc).
-//   * Setting XMLRDB_MVCC=off in the environment restores the previous
-//     model (statement-scope shared table locks, latest-state reads).
 // The public catalog methods (CreateTable, FindTable, ...) lock internally
 // and are safe to call concurrently with Execute.
 //
@@ -189,11 +189,10 @@ class PreparedStatement {
 /// Pins one MVCC snapshot LSN across every statement executed on this
 /// thread for the scope's lifetime, so a multi-statement read-only sequence
 /// (an XPath evaluation issuing many SELECTs) observes one consistent state
-/// regardless of concurrent DML. Nested scopes are no-ops — the outermost
-/// pin wins. If non-transient DDL commits while the pin is open, later
-/// statements under it fail with kTxnError rather than mix schema epochs;
-/// callers re-acquire the snapshot and retry. Inert when the database runs
-/// in legacy lock mode (XMLRDB_MVCC=off).
+/// regardless of concurrent DML, CREATE TABLE or CREATE INDEX. Nested scopes
+/// are no-ops — the outermost pin wins. If a base table is dropped while
+/// the pin is open, later statements under it fail with kTxnError (a table
+/// dropped and re-created would otherwise read as empty at the pin).
 class ReadSnapshot {
  public:
   explicit ReadSnapshot(const Database* db);
@@ -201,7 +200,7 @@ class ReadSnapshot {
   ReadSnapshot(const ReadSnapshot&) = delete;
   ReadSnapshot& operator=(const ReadSnapshot&) = delete;
 
-  /// True when this scope owns the pin (outermost, snapshot reads on).
+  /// True when this scope owns the pin (the outermost one on its thread).
   bool owner() const { return db_ != nullptr; }
   Lsn lsn() const { return lsn_; }
 
@@ -212,7 +211,7 @@ class ReadSnapshot {
 
   const Database* db_ = nullptr;
   Lsn lsn_ = 0;
-  int64_t base_version_ = 0;  ///< base_schema_version at acquisition
+  int64_t drops_at_acquire_ = 0;  ///< Database::table_drops_ at acquisition
   std::optional<MvccSnapshot> snap_;
 };
 
@@ -258,19 +257,6 @@ class Database {
   int64_t schema_version() const {
     return schema_version_.load(std::memory_order_acquire);
   }
-
-  /// Like schema_version(), but bumped only by DDL on non-transient tables —
-  /// the scratch-table churn of XPath translation moves schema_version
-  /// constantly without invalidating anything a pinned snapshot can see.
-  /// ReadSnapshot records this at acquisition; statements under the pin fail
-  /// with kTxnError when it has moved.
-  int64_t base_schema_version() const {
-    return base_schema_version_.load(std::memory_order_acquire);
-  }
-
-  /// True when read-only statements run on MVCC snapshots without table
-  /// locks (the default; XMLRDB_MVCC=off selects legacy shared locks).
-  bool snapshot_reads_enabled() const { return snapshot_reads_; }
 
   // -- version garbage collection --
   /// One collection pass over every MVCC catalog table: unlinks row
@@ -366,8 +352,8 @@ class Database {
   Status Checkpoint();
 
  private:
-  /// The tables a SELECT references, each held shared for statement scope.
-  struct ReadLockSet;
+  /// The tables a SELECT references plus its snapshot, for statement scope.
+  struct ReadTables;
 
   /// Per-statement execution details threaded out of the Run* helpers for
   /// the statement log.
@@ -377,25 +363,21 @@ class Database {
     std::string analyzed_plan;
   };
 
-  /// Resolves `from` under the catalog lock and pins every distinct table.
-  /// In snapshot mode it then acquires (or reuses the thread's pinned) MVCC
-  /// snapshot and installs the statement's read view — no table locks; in
-  /// legacy mode (or with `force_locks`) it locks every table shared in
-  /// ascending name order. Virtual xmlrdb_* names materialize a snapshot
-  /// table owned by `out`. The catalog lock is released on return;
-  /// lock-wait time is added to *lock_wait_us when non-null.
-  Status LockTablesShared(const std::vector<TableRef>& from, ReadLockSet* out,
-                          int64_t* lock_wait_us = nullptr,
-                          bool force_locks = false) const;
+  /// Resolves `from` under the catalog lock and pins every distinct table,
+  /// then acquires (or reuses the thread's pinned) MVCC snapshot and
+  /// installs the statement's read view — no table locks. Virtual xmlrdb_*
+  /// names materialize a snapshot table owned by `out`. Fails with
+  /// kTxnError under a pin that a base-table DROP has outdated. The catalog
+  /// lock is released on return; the time spent acquiring it is added to
+  /// *lock_wait_us when non-null.
+  Status ResolveReadTables(const std::vector<TableRef>& from, ReadTables* out,
+                           int64_t* lock_wait_us = nullptr) const;
   /// Resolves `name` and locks that table exclusively for statement scope;
   /// `pin` keeps it alive past a concurrent DROP.
   Status LockTableExclusive(const std::string& name, Table** table,
                             std::shared_ptr<Table>* pin,
                             std::unique_lock<std::shared_mutex>* lock,
                             int64_t* lock_wait_us = nullptr);
-  /// Post-planning check that no base-table DDL raced the statement's
-  /// snapshot; sets *retry to re-resolve + replan (kTxnError under a pin).
-  Status RevalidateSnapshot(const ReadLockSet& locks, bool* retry) const;
 
   /// Builds the named virtual table from live engine state.
   std::unique_ptr<Table> MaterializeVirtualTable(const std::string& name) const;
@@ -404,8 +386,8 @@ class Database {
   const Table* FindTableLocked(const std::string& name) const;
   Table* FindTableLocked(const std::string& name);
 
-  Result<PlanPtr> PlanWithLocks(const SelectStmt& stmt,
-                                const ReadLockSet& locks) const;
+  Result<PlanPtr> PlanWithTables(const SelectStmt& stmt,
+                                 const ReadTables& tables) const;
 
   friend class PreparedStatement;
   /// Execution + observability epilogue for PreparedStatement::Execute.
@@ -418,9 +400,6 @@ class Database {
   Result<std::string> ExplainPrepared(PlanCacheEntry* entry);
   void BumpSchemaVersion() {
     schema_version_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  void BumpBaseSchemaVersion() {
-    base_schema_version_.fetch_add(1, std::memory_order_acq_rel);
   }
 
   friend class ReadSnapshot;
@@ -445,12 +424,14 @@ class Database {
   /// one across DROP TABLE: the object (and its version chains) stays
   /// alive until the last in-flight statement drops its pin.
   std::map<std::string, std::shared_ptr<Table>> tables_;
-  bool snapshot_reads_ = true;  ///< set from XMLRDB_MVCC in the constructor
   PlannerOptions planner_options_;
   StatementLog statement_log_;
   std::atomic<int64_t> slow_query_threshold_us_{-1};
   std::atomic<int64_t> schema_version_{0};
-  std::atomic<int64_t> base_schema_version_{0};
+  /// Base-table DROP TABLEs so far, bumped under the exclusive catalog
+  /// lock. A ReadSnapshot records it; a statement under the pin fails when
+  /// it has moved (see ResolveReadTables).
+  std::atomic<int64_t> table_drops_{0};
   PlanCache plan_cache_;
   mutable std::mutex session_provider_mu_;
   std::function<std::vector<SessionInfo>()> session_provider_;

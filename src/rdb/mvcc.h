@@ -68,7 +68,7 @@ struct MvccReadView {
   uint64_t own_txn = 0;  ///< in-flight txn whose provisional stamps are
                          ///< visible to this view (0 = none)
   bool read_latest = false;  ///< bypass MVCC: see the newest in-memory state
-                             ///< (legacy lock mode, direct executor use)
+                             ///< (direct executor use)
 
   /// True if a version created with `stamp` exists for this view.
   bool CreatedVisible(uint64_t stamp) const {

@@ -448,7 +448,7 @@ bool UsableBound(const Value& v, DataType ct) {
 /// version's key columns must equal the entry key — that rejects entries
 /// from other versions of the row and dedups rows reachable through both an
 /// old and a new key (each row is emitted only for its visible key). Under a
-/// read-latest view (legacy lock mode, private tables) this is exactly the
+/// read-latest view (direct executor use, private tables) this is exactly the
 /// "entry is current" rule of Index::LookupRange plus Table::IsLive.
 const Row* VisibleEntryRow(const Table& table, const Index& index,
                            const MvccReadView& view, const Row& entry) {

@@ -141,7 +141,7 @@ void FlushPlanMetrics(const PlanNode& plan);
 
 /// Full scan of a base table. Emits the row versions visible to the read
 /// view captured at Open() (newest live rows when no view is installed —
-/// legacy lock mode and direct executor use).
+/// direct executor use).
 class SeqScanNode : public PlanNode {
  public:
   SeqScanNode(const Table* table, std::string alias);
@@ -228,7 +228,8 @@ class IndexScanNode : public PlanNode {
   Row lower_, upper_;
   std::vector<ExprPtr> lower_exprs_, upper_exprs_;  ///< empty = fixed bounds
   bool lower_inclusive_, upper_inclusive_;
-  /// Latest-state path: current row ids from the index (legacy lock mode).
+  /// Latest-state path: current row ids from the index (read-latest views
+  /// and non-MVCC tables).
   std::vector<RowId> rids_;
   /// Snapshot path: raw index entries (key columns + rid); lazily maintained
   /// entries are re-verified against the visible version's key, which both

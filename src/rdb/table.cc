@@ -74,7 +74,7 @@ std::vector<RowId> Index::LookupEqual(const Row& key) const {
 // Stale entries are expected under lazy MVCC maintenance (Delete keeps
 // entries, Update leaves the old key's). An entry is *current* iff its row
 // is live and its key columns still equal the newest row's — exactly the
-// rows an eager index would hold, so the legacy lookups filter to that.
+// rows an eager index would hold, so the read-latest lookups filter to that.
 bool Index::EntryIsCurrent(const Row& entry_key) const {
   const RowId rid = static_cast<RowId>(entry_key.back().AsInt());
   if (!table_->IsLive(rid)) return false;
@@ -369,13 +369,22 @@ Status Table::CreateIndexUnlocked(const std::string& name,
     RETURN_IF_ERROR(sink_->OnCreateIndex(*this, name, column_names));
   }
   auto idx = std::make_unique<Index>(name, this, std::move(cols));
-  // Backfills newest live rows only. Versions already dead at this point
-  // never enter the new index — safe because a plan can only pick this
-  // index with a snapshot taken after this DDL committed (multi-statement
-  // snapshots spanning it fail with TxnError instead; see database.h).
+  // Under MVCC every version on a row's chain gets an entry, exactly as if
+  // the index had existed when the version was written: a snapshot older
+  // than this DDL can then use the index and still find the deleted or
+  // re-keyed versions it sees (scans re-check each entry against the
+  // visible version; GC drops entries no snapshot can reach). Non-MVCC
+  // tables remove entries eagerly on Delete, so only live rows get one.
   size_t slots = num_slots_.load(std::memory_order_relaxed);
   for (RowId rid = 0; rid < slots; ++rid) {
-    if (IsLive(rid)) idx->Add(head(rid)->row, rid);
+    if (!mvcc_) {
+      if (IsLive(rid)) idx->Add(head(rid)->row, rid);
+      continue;
+    }
+    for (const RowVersion* v = head(rid); v != nullptr;
+         v = v->next.load(std::memory_order_relaxed)) {
+      idx->Add(v->row, rid);
+    }
   }
   int64_t delta =
       static_cast<int64_t>(idx->num_entries()) * IndexEntryBytes(*idx);

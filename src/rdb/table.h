@@ -21,9 +21,10 @@
 //
 // Index entries under MVCC are maintained lazily: Delete keeps the entries
 // (old snapshots still need them), Update only adds entries for changed
-// keys. Scans therefore re-verify that the visible version's key matches
-// the entry; garbage collection removes entries whose versions no snapshot
-// can reach.
+// keys, and CreateIndex back-fills an entry for every version on each chain
+// (so snapshots older than the index can use it). Scans therefore re-verify
+// that the visible version's key matches the entry; garbage collection
+// removes entries whose versions no snapshot can reach.
 //
 // Tables can opt out of versioning (set_mvcc(false)) — used for transient
 // scratch tables and virtual-table snapshots, which are statement- or
@@ -155,9 +156,9 @@ class Table {
 
   /// The table's writer lock. Mutators hold it exclusive; statement-scope
   /// DML in Database does the same. Snapshot readers do NOT take it —
-  /// shared acquisition remains for legacy lock mode and for writer-side
-  /// consistency checks (FootprintBytes, stats). Lock tables in ascending
-  /// name order when taking several.
+  /// shared acquisition remains for writer-side consistency checks
+  /// (FootprintBytes, stats). Lock tables in ascending name order when
+  /// taking several.
   std::shared_mutex& mutex() const { return mu_; }
 
   /// MVCC versioning toggle; default on. Turn off (before first insert)
@@ -237,7 +238,8 @@ class Table {
   }
 
   /// Creates a secondary index named `name` over `column_names` and
-  /// backfills it from the newest live rows.
+  /// backfills it: from every version on each row's chain under MVCC (so
+  /// snapshots older than the index can use it), from live rows otherwise.
   Status CreateIndex(const std::string& name,
                      const std::vector<std::string>& column_names);
   Status CreateIndexUnlocked(const std::string& name,

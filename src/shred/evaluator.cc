@@ -1,9 +1,7 @@
 #include "shred/evaluator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
-#include <thread>
 
 #include "common/metrics.h"
 #include "common/stopwatch.h"
@@ -250,34 +248,13 @@ Result<NodeSet> EvalPath(const xpath::PathExpr& path, Mapping* mapping,
   Result<NodeSet> result = [&]() -> Result<NodeSet> {
     // One pinned snapshot covers every SQL statement of the evaluation, so
     // the whole multi-statement path sees a single consistent database state
-    // even while writers commit concurrently. A non-transient DDL committed
-    // mid-path invalidates the pin (TxnError); retry on a fresh snapshot.
-    // DDL comes in bursts (a binary-mapping Store creates a table and two
-    // indexes per new label), so the retries are bounded by time rather than
-    // by count, back off so the reader does not race the burst, and stop as
-    // soon as a TxnError was not caused by DDL.
-    constexpr auto kRetryBudget = std::chrono::seconds(1);
-    constexpr auto kMaxBackoff = std::chrono::microseconds(1000);
-    const auto deadline = std::chrono::steady_clock::now() + kRetryBudget;
-    auto backoff = std::chrono::microseconds(20);
-    for (;;) {
-      const int64_t base = db->base_schema_version();
-      rdb::ReadSnapshot snapshot(db);
-      Result<NodeSet> inner = [&]() -> Result<NodeSet> {
-        if (stats == nullptr) return EvalPathImpl(path, mapping, db, doc);
-        ScopedMetricsCapture capture;
-        auto r = EvalPathImpl(path, mapping, db, doc);
-        *stats = StatsFromDelta(capture.Delta());
-        return r;
-      }();
-      if (inner.ok() || inner.status().code() != StatusCode::kTxnError ||
-          db->base_schema_version() == base ||
-          std::chrono::steady_clock::now() >= deadline) {
-        return inner;
-      }
-      std::this_thread::sleep_for(backoff);
-      backoff = std::min(backoff * 2, kMaxBackoff);
-    }
+    // even while writers commit rows, tables or indexes concurrently.
+    rdb::ReadSnapshot snapshot(db);
+    if (stats == nullptr) return EvalPathImpl(path, mapping, db, doc);
+    ScopedMetricsCapture capture;
+    auto r = EvalPathImpl(path, mapping, db, doc);
+    *stats = StatsFromDelta(capture.Delta());
+    return r;
   }();
   if (reg.enabled()) {
     reg.RecordLatency("mapping." + mapping->name() + ".query_us",

@@ -1,6 +1,7 @@
 // Concurrency tests for the RW-locked engine: readers see every statement
-// as an atomic unit, DDL churn never dangles a table, and parallel bulk
-// shredding matches serial storage.
+// as an atomic unit, DDL churn never dangles a table, every parse on the
+// prepared path is counted, and parallel bulk shredding matches serial
+// storage.
 
 #include <atomic>
 #include <string>
@@ -49,13 +50,14 @@ TEST(ConcurrencyTest, ReadersSeeAtomicInsertDeleteBatches) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&] {
-      while (!stop.load()) {
+      // do-while: a reader the scheduler starts late still reads once.
+      do {
         auto res = db.Execute("SELECT COUNT(*) FROM t");
         ASSERT_TRUE(res.ok()) << res.status();
         int64_t n = res.value().rows[0][0].AsInt();
         if (n != kBase && n != kBase + kBatch) bad.fetch_add(1);
         reads.fetch_add(1);
-      }
+      } while (!stop.load());
     });
   }
   std::thread writer([&] {
@@ -121,14 +123,14 @@ TEST(ConcurrencyTest, PreparedExecutionSurvivesConcurrentDdl) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      int64_t g = 0;
-      while (!stop.load()) {
+      // At least 20 rounds per reader, so its later Prepares hit the cache
+      // even when the scheduler starts it after the DDL thread finished.
+      for (int64_t g = 0; g < 20 || !stop.load(); ++g) {
         auto stmt = db.Prepare("SELECT COUNT(x) FROM stable WHERE grp = ?");
         ASSERT_TRUE(stmt.ok()) << stmt.status();
         auto res = stmt.value().Execute({rdb::Value(g % 4)});
         ASSERT_TRUE(res.ok()) << res.status();
         EXPECT_EQ(res.value().rows[0][0].AsInt(), 16);
-        ++g;
       }
     });
   }
@@ -151,6 +153,40 @@ TEST(ConcurrencyTest, PreparedExecutionSurvivesConcurrentDdl) {
   ddl.join();
   for (auto& t : readers) t.join();
   EXPECT_GT(db.plan_cache().stats().hits, 0);
+}
+
+// Every parse on the prepared path is counted: with only prepared
+// statements running, each parse is either a plan-cache miss (the first
+// Prepare of a text) or a checkout loser's uncached fallback.
+TEST(ConcurrencyTest, PreparedParsesAreMissesOrCheckoutFallbacks) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE stable (x INTEGER NOT NULL, "
+                         "grp INTEGER NOT NULL)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO stable VALUES (1, 0), (2, 1), (3, 0)")
+                  .ok());
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.Reset();
+  reg.set_enabled(true);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 4; ++r) {
+    threads.emplace_back([&] {
+      for (int64_t i = 0; i < 300; ++i) {
+        auto stmt = db.Prepare("SELECT SUM(x) FROM stable WHERE grp = ?");
+        ASSERT_TRUE(stmt.ok()) << stmt.status();
+        auto res = stmt.value().Execute({rdb::Value(i % 2)});
+        ASSERT_TRUE(res.ok()) << res.status();
+        EXPECT_EQ(res.value().rows[0][0].AsInt(), i % 2 == 0 ? 4 : 2);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  reg.set_enabled(false);
+  EXPECT_GT(reg.Get("plancache.hits"), 0);
+  EXPECT_EQ(reg.Get("sql.parsed"),
+            reg.Get("plancache.misses") +
+                reg.Get("plancache.checkout_fallbacks"));
+  reg.Reset();
 }
 
 TEST(ConcurrencyTest, ConcurrentXPathQueriesOverOneDatabase) {
@@ -253,14 +289,15 @@ TEST(ConcurrencyTest, ObservabilityEnabledUnderConcurrentLoad) {
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&] {
-      while (!stop.load()) {
+      // do-while: a reader the scheduler starts late still logs SELECTs.
+      do {
         auto res = db.Execute("SELECT COUNT(*) FROM t");
         ASSERT_TRUE(res.ok()) << res.status();
         auto metrics = db.Execute("SELECT * FROM xmlrdb_metrics");
         ASSERT_TRUE(metrics.ok()) << metrics.status();
         auto log = db.Execute("SELECT * FROM xmlrdb_statements");
         ASSERT_TRUE(log.ok()) << log.status();
-      }
+      } while (!stop.load());
     });
   }
   std::thread writer([&] {

@@ -2,12 +2,11 @@
 // the same tables must return the same rows — NULL keys, int/double and
 // string/int key pairs, NULL and wrongly typed `?` prefix values, stale
 // index entries left under an open snapshot by an UPDATE of the join key
-// and by a DELETE, latest-state (legacy lock mode) reads, and the row and
+// and by a DELETE, latest-state reads without a read view, and the row and
 // batch executors. The planner-level half checks that an indexed equi-join
 // plans as IndexNestedLoopJoin and answers like the unindexed hash join.
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -188,7 +187,7 @@ TEST_F(IndexJoinTest, StaleEntriesUnderOpenSnapshotAreSkipped) {
 }
 
 TEST_F(IndexJoinTest, LatestStateReadsMatchHashJoin) {
-  // No read view installed: the legacy lock mode's latest-state reads.
+  // No read view installed: direct executor use reads the latest state.
   Exec("UPDATE t SET k = 2 WHERE v = 'b'");
   Exec("DELETE FROM t WHERE v = 'f'");
   ASSERT_EQ(CurrentReadView(), nullptr);
@@ -203,50 +202,36 @@ std::vector<Row> Query(Database* db, const std::string& sql) {
   return r.ok() ? Sorted(r.value().rows) : std::vector<Row>{};
 }
 
-void ExpectPlannedIndexJoinMatchesHashJoin(Database* db) {
-  ASSERT_TRUE(db->Execute("CREATE TABLE ctx (id INTEGER)").ok());
-  ASSERT_TRUE(db->Execute("CREATE TABLE n (docid INTEGER, src INTEGER, "
-                          "name VARCHAR)")
+TEST(IndexJoinPlanTest, PlannedIndexJoinMatchesHashJoin) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE ctx (id INTEGER)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE n (docid INTEGER, src INTEGER, "
+                         "name VARCHAR)")
                   .ok());
-  ASSERT_TRUE(db->Execute("INSERT INTO ctx VALUES (1), (2), (NULL), (4)").ok());
-  ASSERT_TRUE(db->Execute("INSERT INTO n VALUES (1, 1, 'x'), (1, 1, 'y'), "
-                          "(1, 2, 'x'), (2, 1, 'x'), (1, NULL, 'x'), "
-                          "(1, 4, 'z')")
+  ASSERT_TRUE(db.Execute("INSERT INTO ctx VALUES (1), (2), (NULL), (4)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO n VALUES (1, 1, 'x'), (1, 1, 'y'), "
+                         "(1, 2, 'x'), (2, 1, 'x'), (1, NULL, 'x'), "
+                         "(1, 4, 'z')")
                   .ok());
   const std::string sql =
       "SELECT c.id, e.name FROM ctx c JOIN n e ON e.src = c.id "
       "WHERE e.docid = 1 AND e.name <> 'z'";
-  auto hashed = db->Execute("EXPLAIN " + sql);
+  auto hashed = db.Execute("EXPLAIN " + sql);
   ASSERT_TRUE(hashed.ok());
   EXPECT_NE(hashed.value().plan_text.find("HashJoin"), std::string::npos);
-  const std::vector<Row> expected = Query(db, sql);
+  const std::vector<Row> expected = Query(&db, sql);
   EXPECT_EQ(expected.size(), 3u) << Dump(expected);
-  ASSERT_TRUE(db->Execute("CREATE INDEX n_src ON n (docid, src)").ok());
-  auto indexed = db->Execute("EXPLAIN " + sql);
+  ASSERT_TRUE(db.Execute("CREATE INDEX n_src ON n (docid, src)").ok());
+  auto indexed = db.Execute("EXPLAIN " + sql);
   ASSERT_TRUE(indexed.ok());
   EXPECT_NE(indexed.value().plan_text.find(
                 "IndexNestedLoopJoin(n.n_src [e.docid = 1, e.src = c.id]"),
             std::string::npos)
       << indexed.value().plan_text;
-  EXPECT_EQ(Dump(Query(db, sql)), Dump(expected));
-  ASSERT_TRUE(db->Execute("UPDATE n SET src = 2 WHERE name = 'y'").ok());
-  ASSERT_TRUE(db->Execute("DELETE FROM n WHERE src = 2 AND name = 'x'").ok());
-  EXPECT_EQ(Query(db, sql).size(), 2u) << Dump(Query(db, sql));
-}
-
-TEST(IndexJoinPlanTest, PlannedIndexJoinMatchesHashJoin) {
-  Database db;
-  ExpectPlannedIndexJoinMatchesHashJoin(&db);
-}
-
-TEST(IndexJoinPlanTest, PlannedIndexJoinMatchesHashJoinInLegacyLockMode) {
-  ::setenv("XMLRDB_MVCC", "off", 1);
-  {
-    Database db;
-    EXPECT_FALSE(db.snapshot_reads_enabled());
-    ExpectPlannedIndexJoinMatchesHashJoin(&db);
-  }
-  ::unsetenv("XMLRDB_MVCC");
+  EXPECT_EQ(Dump(Query(&db, sql)), Dump(expected));
+  ASSERT_TRUE(db.Execute("UPDATE n SET src = 2 WHERE name = 'y'").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM n WHERE src = 2 AND name = 'x'").ok());
+  EXPECT_EQ(Query(&db, sql).size(), 2u) << Dump(Query(&db, sql));
 }
 
 TEST(IndexJoinPlanTest, ExplainAnalyzeShowsProbesAndRows) {

@@ -247,16 +247,31 @@ TEST_F(PlanCacheTest, ReplanUnderStaleSnapshotIsAClearTxnError) {
   auto stmt = db_.Prepare("SELECT id FROM t WHERE grp = ?");
   ASSERT_TRUE(stmt.ok());
   ReadSnapshot snap(&db_);
-  ASSERT_TRUE(stmt.value().Execute({Value(static_cast<int64_t>(1))}).ok());
-  // DDL invalidates the cached plan *and* commits after the snapshot was
-  // pinned. Re-execution must not silently replan against the new catalog
-  // under the old snapshot — it fails with a transaction error that names
-  // the schema change, so the caller knows to re-acquire and retry.
+  auto pinned = stmt.value().Execute({Value(static_cast<int64_t>(1))});
+  ASSERT_TRUE(pinned.ok()) << pinned.status();
+  ASSERT_EQ(pinned.value().rows.size(), 10u);
+  // Two rows of the group change and then an index commits, all after the
+  // snapshot was pinned. The replan under the pin switches to the new
+  // index, whose back-fill covers the pre-images, so the answer stays the
+  // pinned one.
+  ASSERT_TRUE(db_.Execute("DELETE FROM t WHERE id = 11").ok());
+  ASSERT_TRUE(db_.Execute("UPDATE t SET grp = 5 WHERE id = 21").ok());
   ASSERT_TRUE(db_.Execute("CREATE INDEX t_grp ON t (grp)").ok());
+  auto replanned = stmt.value().Execute({Value(static_cast<int64_t>(1))});
+  ASSERT_TRUE(replanned.ok()) << replanned.status();
+  EXPECT_EQ(replanned.value().ToString(), pinned.value().ToString());
+  auto plan = stmt.value().ExplainPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan.value().find("IndexScan"), std::string::npos) << plan.value();
+  // Only a dropped table makes the pin stale: the statement then fails
+  // with a transaction error that names the drop, so the caller knows to
+  // re-acquire and retry.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE scratch (y INTEGER)").ok());
+  ASSERT_TRUE(db_.Execute("DROP TABLE scratch").ok());
   auto res = stmt.value().Execute({Value(static_cast<int64_t>(1))});
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kTxnError) << res.status();
-  EXPECT_NE(res.status().message().find("schema changed"), std::string::npos)
+  EXPECT_NE(res.status().message().find("dropped"), std::string::npos)
       << res.status();
 }
 
@@ -266,14 +281,27 @@ TEST_F(PlanCacheTest, PreparedStatementRecoversAfterSnapshotReacquire) {
   {
     ReadSnapshot snap(&db_);
     ASSERT_TRUE(stmt.value().Execute({Value(static_cast<int64_t>(2))}).ok());
+    // Re-create the queried table under the pin: its new rows are newer
+    // than the snapshot, which therefore must not read it.
+    ASSERT_TRUE(db_.Execute("DROP TABLE t").ok());
+    ASSERT_TRUE(db_.Execute("CREATE TABLE t (id INTEGER NOT NULL, "
+                            "grp INTEGER NOT NULL, name VARCHAR)")
+                    .ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(db_.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                              ", " + std::to_string(i % 10) + ", 'm')")
+                      .ok());
+    }
     ASSERT_TRUE(db_.Execute("CREATE INDEX t_grp2 ON t (grp)").ok());
-    ASSERT_FALSE(stmt.value().Execute({Value(static_cast<int64_t>(2))}).ok());
+    auto stale = stmt.value().Execute({Value(static_cast<int64_t>(2))});
+    ASSERT_FALSE(stale.ok());
+    EXPECT_EQ(stale.status().code(), StatusCode::kTxnError) << stale.status();
   }
-  // Fresh snapshot: the statement replans against the current catalog and
+  // Fresh snapshot: the statement replans against the re-created table and
   // works again (now through the new index).
   auto res = stmt.value().Execute({Value(static_cast<int64_t>(2))});
   ASSERT_TRUE(res.ok()) << res.status();
-  EXPECT_EQ(res.value().rows.size(), 10u);
+  EXPECT_EQ(res.value().rows.size(), 2u);
   auto plan = stmt.value().ExplainPlan();
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan.value().find("IndexScan"), std::string::npos);
